@@ -357,6 +357,29 @@ void BM_EngineCancel(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineCancel);
 
+void BM_EngineRearmChurn(benchmark::State& state) {
+  // The TCP RTO pattern: each iteration fires one short event that cancels
+  // a 5 ms retransmit timer and re-arms it, leaving a stale heap entry
+  // behind. Heap compaction keeps the heap at O(live) entries; without it
+  // the heap would hold one entry per re-arm in the last 5 ms of sim time
+  // (500k at one event per 10 ns), and every push and pop would pay for
+  // that depth and its cache misses.
+  sim::Engine engine;
+  engine.reserve(256);
+  sim::EventHandle rto;
+  std::uint64_t expired = 0;
+  for (auto _ : state) {
+    engine.schedule_in(sim::nanos(std::int64_t{10}), [&engine, &rto, &expired] {
+      engine.cancel(rto);
+      rto = engine.schedule_in(sim::millis(std::int64_t{5}), [&expired] { ++expired; });
+    });
+    engine.step();
+  }
+  if (expired != 0) state.SkipWithError("a re-armed timer expired");
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EngineRearmChurn);
+
 void BM_PacketPoolChurn(benchmark::State& state) {
   // Pooled make -> drop for a Table 1 new-order frame: inline payload copy
   // plus a freelist block reuse; no heap traffic once warm.
@@ -451,6 +474,7 @@ int main(int argc, char** argv) {
   tsn::bench::Report bench_report{"micro_hotpaths", "Hot-path microbenchmarks"};
   bench_report.param("trace_sink", "none");
   double schedule_fire_ns = 0.0;
+  double rearm_churn_ns = 0.0;
   double pool_churn_ns = 0.0;
   double reconnect_cycle_ns = 0.0;
   double book_mix_ns = 0.0;
@@ -477,6 +501,7 @@ int main(int argc, char** argv) {
     // hooks no longer compiling out).
     bench_report.check(timing.name + ".under_5us", timing.real_ns < 5'000.0);
     if (timing.name == "BM_EngineScheduleFire") schedule_fire_ns = timing.real_ns;
+    if (timing.name == "BM_EngineRearmChurn") rearm_churn_ns = timing.real_ns;
     if (timing.name == "BM_PacketPoolChurn") pool_churn_ns = timing.real_ns;
     if (timing.name.starts_with("BM_SoaBookUpdateMix")) book_mix_ns = timing.real_ns;
     if (timing.name.starts_with("BM_PitchBatchDecode")) batch_decode_ns = timing.real_ns;
@@ -485,6 +510,9 @@ int main(int argc, char** argv) {
   // these against bench/baselines/ so a pooled-path regression fails CI.
   if (schedule_fire_ns > 0.0) {
     bench_report.metric("scheduler.events_per_s", 1e9 / schedule_fire_ns, "events/s");
+  }
+  if (rearm_churn_ns > 0.0) {
+    bench_report.metric("scheduler.rearm_events_per_s", 1e9 / rearm_churn_ns, "events/s");
   }
   if (pool_churn_ns > 0.0) {
     bench_report.metric("packet_pool.packets_per_s", 1e9 / pool_churn_ns, "packets/s");
@@ -508,11 +536,12 @@ int main(int argc, char** argv) {
                         kReplayMsgs * 1e9 / replay_to_book_ns, "msgs/s");
   }
   bench_report.check("scheduler.events_per_s.reported", schedule_fire_ns > 0.0);
+  bench_report.check("scheduler.rearm_events_per_s.reported", rearm_churn_ns > 0.0);
   bench_report.check("packet_pool.packets_per_s.reported", pool_churn_ns > 0.0);
   bench_report.check("gateway.reconnects_per_s.reported", reconnect_cycle_ns > 0.0);
   bench_report.check("book.updates_per_s.reported", book_mix_ns > 0.0);
   bench_report.check("pitch.batch_decode_msgs_per_s.reported", batch_decode_ns > 0.0);
   bench_report.check("replay.to_book_msgs_per_s.reported", replay_to_book_ns > 0.0);
-  bench_report.check("all_benchmarks_ran", reporter.timings().size() >= 17);
+  bench_report.check("all_benchmarks_ran", reporter.timings().size() >= 18);
   return bench_report.finish();
 }

@@ -52,7 +52,7 @@ bool FpgaSwitch::passes_filter(net::PortId port, net::Ipv4Addr group) const noex
 }
 
 void FpgaSwitch::receive(const net::PacketPtr& packet, net::PortId in_port) {
-  auto frame = net::decode_frame(packet->frame());
+  const auto& frame = packet->decoded();
   if (!frame || !frame->ip || !frame->ip->dst.is_multicast()) {
     // The FPGA fabric here is multicast-only (the quad networks of §4.3
     // carry feeds); anything else is dropped.

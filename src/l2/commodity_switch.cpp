@@ -18,6 +18,7 @@ CommoditySwitch::CommoditySwitch(sim::Scheduler& engine, std::string name,
       router_port_(config.port_count, false),
       mroutes_(config.mroute_hardware_capacity) {
   TSN_ASSERT(config.port_count > 0, "a switch needs at least one port");
+  egress_scratch_.reserve(config.port_count);
 }
 
 void CommoditySwitch::attach_port(net::PortId port, net::Link& egress) noexcept {
@@ -128,7 +129,7 @@ void CommoditySwitch::receive(const net::PacketPtr& packet, net::PortId in_port)
     ++stats_.fault_loss_drops;
     return;
   }
-  auto frame = net::decode_frame(packet->frame());
+  const auto& frame = packet->decoded();
   if (!frame || !frame->ip) {
     ++stats_.no_route_drops;  // non-IP traffic is not carried on these fabrics
     return;
@@ -193,15 +194,15 @@ void CommoditySwitch::forward_multicast(const net::PacketPtr& packet, net::Ipv4A
   // This mirrors a PIM rendezvous-point tree and keeps leaf-spine fabrics
   // loop-free for multicast.
   const bool from_router = in_port < router_port_.size() && router_port_[in_port];
-  std::vector<net::PortId> extra;
+  // Final egress set: the router-port pushes, then learned receiver ports.
+  std::vector<net::PortId>& out = egress_scratch_;
+  out.clear();
   if (!from_router) {
     for (net::PortId p = 0; p < router_port_.size(); ++p) {
-      if (router_port_[p] && p != in_port) extra.push_back(p);
+      if (router_port_[p] && p != in_port) out.push_back(p);
     }
   }
   const auto entry = mroutes_.lookup(group);
-  // Final egress set: learned receiver ports plus the router-port pushes.
-  std::vector<net::PortId> out = extra;
   if (entry.ports != nullptr) {
     for (net::PortId p : *entry.ports) {
       if (std::find(out.begin(), out.end(), p) == out.end()) out.push_back(p);
@@ -210,11 +211,10 @@ void CommoditySwitch::forward_multicast(const net::PacketPtr& packet, net::Ipv4A
   if (out.empty()) {
     if (entry.ports == nullptr && config_.flood_unknown_multicast) {
       // Flood out of every attached port except the ingress.
-      std::vector<net::PortId> all;
       for (net::PortId p = 0; p < egress_.size(); ++p) {
-        if (egress_[p] != nullptr) all.push_back(p);
+        if (egress_[p] != nullptr) out.push_back(p);
       }
-      replicate(packet, all, in_port, config_.forwarding_latency);
+      replicate(packet, out, in_port, config_.forwarding_latency);
       ++stats_.multicast_hw_forwarded;
       return;
     }
@@ -278,7 +278,8 @@ void CommoditySwitch::handle_igmp(const net::PacketPtr& packet,
   }
   // Relay the report toward router ports so upstream switches learn that
   // this subtree has receivers.
-  std::vector<net::PortId> uplinks;
+  std::vector<net::PortId>& uplinks = egress_scratch_;
+  uplinks.clear();
   for (net::PortId p = 0; p < router_port_.size(); ++p) {
     if (router_port_[p] && p != in_port) uplinks.push_back(p);
   }

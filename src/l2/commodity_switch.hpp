@@ -175,6 +175,8 @@ class CommoditySwitch final : public net::PortedDevice, public net::FaultHook {
   // allocation-free for pool-inlined frame sizes.
   net::PacketFactory factory_;
   std::vector<std::byte> rewrite_scratch_;
+  // Per-frame multicast egress set, reserved to the port count.
+  std::vector<net::PortId> egress_scratch_;
   bool querier_running_ = false;
   std::uint64_t aged_out_ = 0;
 };

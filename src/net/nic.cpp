@@ -42,8 +42,7 @@ PacketPtr Nic::send_frame(std::span<const std::byte> frame) {
 
 void Nic::receive(const PacketPtr& packet, PortId /*port*/) {
   if (!promiscuous_) {
-    WireReader r{packet->frame()};
-    const auto eth = EthernetHeader::decode(r);
+    const auto& eth = packet->eth();
     const bool accept =
         eth && (eth->dst == mac_ || eth->dst.is_broadcast() ||
                 std::find(mcast_macs_.begin(), mcast_macs_.end(), eth->dst) != mcast_macs_.end());

@@ -58,7 +58,7 @@ std::size_t NetStack::reap_closed() {
 }
 
 void NetStack::on_frame(const PacketPtr& packet, sim::Time arrival) {
-  auto frame = decode_frame(packet->frame());
+  const auto& frame = packet->decoded();
   if (!frame || !frame->ip) return;
   if (frame->udp) {
     ++udp_rx_;

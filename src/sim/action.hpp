@@ -5,7 +5,7 @@
 // (PAPER §3), so the per-event `std::function` heap allocation dominated
 // wall-clock before the network models ran at all. Every capture used across
 // src/ fits the inline buffer (the largest is a NIC rx deferral: a
-// std::function handler + PacketPtr + Time, 56 bytes), so steady-state
+// std::function handler + 8-byte PacketPtr + Time, 48 bytes), so steady-state
 // scheduling performs zero heap allocations. Oversized or alignment-exotic
 // callables still work — they fall back to a heap-held box — but the
 // capture-size budget is part of the hot-path contract (see DESIGN.md
@@ -21,7 +21,7 @@ namespace tsn::sim {
 
 class InlineAction {
  public:
-  // Sized for the largest hot-path capture (56 B) with headroom; keeping the
+  // Sized for the largest hot-path capture (48 B) with headroom; keeping the
   // whole object at one cache line + ops pointer.
   static constexpr std::size_t kInlineCapacity = 64;
 

@@ -78,6 +78,7 @@ class Domain final : public Scheduler {
   [[nodiscard]] std::uint64_t events_fired() const noexcept { return fired_; }
   [[nodiscard]] std::size_t pool_capacity() const noexcept { return queue_.pool_capacity(); }
   [[nodiscard]] std::size_t pool_in_use() const noexcept { return queue_.pool_in_use(); }
+  [[nodiscard]] std::size_t heap_entries() const noexcept { return queue_.heap_entries(); }
 
  private:
   friend class ShardedEngine;

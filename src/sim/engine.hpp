@@ -14,8 +14,9 @@
 // (`EventPool`) as `InlineAction`s — no heap allocation per event once the
 // pool and the heap vector are warm. Cancellation is genuinely O(1): a
 // handle names (slot, generation); cancelling releases the slot immediately
-// and the stale heap entry is discarded when it surfaces at the top. The
-// queue core lives in sim/event_queue.hpp, shared with `Domain`.
+// and leaves a stale heap entry, which the queue prunes when it surfaces or
+// compacts away in bulk once stale entries outnumber live ones. The queue
+// core lives in sim/event_queue.hpp, shared with `Domain`.
 #pragma once
 
 #include <cstdint>
@@ -67,6 +68,7 @@ class Engine final : public Scheduler {
   // Pool introspection (tests and capacity planning).
   [[nodiscard]] std::size_t pool_capacity() const noexcept { return queue_.pool_capacity(); }
   [[nodiscard]] std::size_t pool_in_use() const noexcept { return queue_.pool_in_use(); }
+  [[nodiscard]] std::size_t heap_entries() const noexcept { return queue_.heap_entries(); }
 
  private:
   EventQueue queue_{kMainDomain};

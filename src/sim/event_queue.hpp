@@ -1,11 +1,14 @@
 // The time-ordered event queue core shared by `Engine` and `Domain`.
 //
-// Extracted from the PR 3 engine: pooled slab-allocated slots (`EventPool`),
-// a lazy-pruned binary heap, and O(1) generation-checked cancellation. The
-// queue owns neither the clock nor the sequence counter — its owner passes
-// `seq` into push() (a Domain under a golden-mode ShardedEngine shares one
-// counter across all shards so the merged run is byte-identical to a plain
-// Engine) and advances its own `now` from the entries the queue pops.
+// Pooled slab-allocated slots (`EventPool`), a binary heap of small entries,
+// and O(1) generation-checked cancellation. A cancelled event's heap entry
+// goes stale; stale entries are pruned when they surface at the top, and
+// the whole heap is compacted in one O(n) pass once they outnumber the live
+// entries by more than kCompactSlack. The queue owns neither the clock nor
+// the sequence counter — its owner passes `seq` into push() (a Domain under
+// a golden-mode ShardedEngine shares one counter across all shards so the
+// merged run is byte-identical to a plain Engine) and advances its own
+// `now` from the entries the queue pops.
 #pragma once
 
 #include <algorithm>
@@ -62,8 +65,9 @@ class EventQueue {
     // A fired, cancelled, or reused slot has moved past the handle's
     // generation; only the live original matches.
     if (!slot.armed || slot.generation != handle.generation_) return false;
-    pool_.release(handle.slot_);  // heap entry goes stale; pruned at peek
+    pool_.release(handle.slot_);  // heap entry goes stale
     --live_;
+    compact_if_stale();
     return true;
   }
 
@@ -72,9 +76,7 @@ class EventQueue {
   // tsn-lint: hotpath
   const HeapEntry* peek_live() {
     while (!heap_.empty()) {
-      const HeapEntry& top = heap_.front();
-      const EventPool::Slot& slot = pool_.slot(top.slot);
-      if (slot.armed && slot.generation == top.generation) return &heap_.front();
+      if (!stale(heap_.front())) return &heap_.front();
       // Cancelled: the slot was released (and possibly re-armed under a new
       // generation); this entry is stale.
       std::pop_heap(heap_.begin(), heap_.end(), FiresLater{});
@@ -98,6 +100,7 @@ class EventQueue {
     InlineAction action = std::move(slot.action);
     pool_.release(entry.slot);
     --live_;
+    compact_if_stale();
     TSN_DCHECK(entry.at >= now, "event queue must never run time backwards");
     now = entry.at;
     ++fired;
@@ -116,6 +119,11 @@ class EventQueue {
   [[nodiscard]] std::size_t live() const noexcept { return live_; }
   [[nodiscard]] std::size_t pool_capacity() const noexcept { return pool_.capacity(); }
   [[nodiscard]] std::size_t pool_in_use() const noexcept { return pool_.in_use(); }
+  // Heap entries, live and stale; never more than 2 * live() + kCompactSlack.
+  [[nodiscard]] std::size_t heap_entries() const noexcept { return heap_.size(); }
+
+  // Stale entries tolerated beyond the live count before a compaction.
+  static constexpr std::size_t kCompactSlack = 64;
 
  private:
   // std::push_heap/pop_heap build a max-heap; "fires later" as the ordering
@@ -126,6 +134,24 @@ class EventQueue {
       return a.seq > b.seq;
     }
   };
+
+  [[nodiscard]] bool stale(const HeapEntry& entry) const noexcept {
+    const EventPool::Slot& slot = pool_.slot(entry.slot);
+    return !slot.armed || slot.generation != entry.generation;
+  }
+
+  // A timer cancelled and re-armed on every event (TCP RTO) would otherwise
+  // leave one stale entry per re-arm until it surfaced, growing the heap
+  // (and every push/pop) far past the live set. Dropping every stale entry
+  // once they exceed live + kCompactSlack costs O(n) per Ω(n) cancels, and
+  // cannot reorder anything: (at, seq) is a strict total order, so the
+  // rebuilt heap pops the same live entries in the same sequence.
+  // tsn-lint: hotpath
+  void compact_if_stale() {
+    if (heap_.size() <= 2 * live_ + kCompactSlack) return;
+    std::erase_if(heap_, [this](const HeapEntry& entry) { return stale(entry); });
+    std::make_heap(heap_.begin(), heap_.end(), FiresLater{});
+  }
 
   std::vector<HeapEntry> heap_;
   EventPool pool_;

@@ -2,11 +2,10 @@
 // entity, plus a Registry that names them and snapshots deterministically.
 //
 // Histogram and WindowedCounter began life as sim::SampleStats /
-// sim::WindowedCounter (sim/stats.hpp now aliases them for existing call
-// sites); LatencyTracker began life in capture/tap.hpp. Folding them here
-// gives switches, mroute tables, WAN links, sessions and capture appliances
-// a single registration surface (`register_metrics`) and a single export
-// path (`Registry::to_json`).
+// sim::WindowedCounter, and LatencyTracker in capture/tap.hpp; this header
+// is now their only home. Folding them here gives switches, mroute tables,
+// WAN links, sessions and capture appliances a single registration surface
+// (`register_metrics`) and a single export path (`Registry::to_json`).
 #pragma once
 
 #include <cstddef>

@@ -6,8 +6,10 @@
 //
 // The contract under test (DESIGN.md "Hot-path memory model"): once pools
 // and scratch buffers are warm, (a) an Engine schedule → fire (or cancel)
-// cycle, (b) a PacketFactory make → drop cycle for small frames, and (c) a
-// full NIC → link → NIC UDP delivery perform zero heap allocations.
+// cycle, including a cancel/re-arm churn that compacts the heap, (b) a
+// PacketFactory make → drop cycle for small frames, (c) a full NIC → link →
+// NIC UDP delivery and (d) a switch multicast fan-out perform zero heap
+// allocations.
 
 #include <gtest/gtest.h>
 
@@ -16,12 +18,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <span>
 #include <vector>
 
 #include "book/order_book.hpp"
 #include "exchange/session_store.hpp"
+#include "l2/commodity_switch.hpp"
 #include "net/fabric.hpp"
 #include "net/nic.hpp"
 #include "net/packet.hpp"
@@ -110,6 +114,35 @@ TEST(HotPathAlloc, EngineScheduleFireCancelCycleIsAllocationFree) {
   EXPECT_EQ(fired, 9u * 1'024u);
 }
 
+TEST(HotPathAlloc, RearmChurnAcrossCompactionIsAllocationFree) {
+  // The TCP RTO pattern: every short event cancels a 5 ms timer and re-arms
+  // it. Each round leaves one stale heap entry, so the heap compacts every
+  // ~kCompactSlack rounds; erase_if + make_heap work in place.
+  sim::Engine engine;
+  sim::EventHandle rto;
+  std::uint64_t expired = 0;
+  std::uint64_t ticks = 0;
+  auto churn = [&](int rounds) {
+    for (int i = 0; i < rounds; ++i) {
+      engine.cancel(rto);
+      rto = engine.schedule_in(sim::millis(std::int64_t{5}), [&expired] { ++expired; });
+      engine.schedule_in(sim::nanos(std::int64_t{100}), [&ticks] { ++ticks; });
+      engine.run_until(engine.now() + sim::nanos(std::int64_t{100}));
+    }
+  };
+  churn(512);  // warm: pool slabs and heap capacity
+
+  const std::uint64_t before = allocations();
+  churn(4'096);
+  EXPECT_EQ(allocations() - before, 0u)
+      << "warm cancel/re-arm churn, compactions included, must not touch the heap";
+  EXPECT_EQ(ticks, 512u + 4'096u);
+  EXPECT_EQ(expired, 0u);
+  EXPECT_EQ(engine.pending_events(), 1u);
+  EXPECT_LE(engine.heap_entries(), 2 * engine.pending_events() + sim::EventQueue::kCompactSlack)
+      << "stale re-arm entries must be compacted, not accumulated";
+}
+
 TEST(HotPathAlloc, PacketMakeDropCycleIsAllocationFree) {
   net::PacketFactory factory;
   std::array<std::byte, 26> frame{};  // Table 1 new-order message
@@ -160,6 +193,50 @@ TEST(HotPathAlloc, EndToEndUdpDeliveryIsAllocationFree) {
   EXPECT_EQ(allocations() - before, 0u)
       << "warm NIC -> link -> NIC UDP delivery must not touch the heap";
   EXPECT_EQ(received_bytes, 128u * 18u);
+}
+
+TEST(HotPathAlloc, WarmSwitchMulticastFanOutIsAllocationFree) {
+  // A multicast frame through a CommoditySwitch to three receivers: the
+  // switch reads the packet's construction-time parse, builds its egress
+  // set in a reserved scratch vector, and shares one pooled packet across
+  // every replica.
+  sim::Engine engine;
+  net::Fabric fabric{engine};
+  l2::CommoditySwitch sw{engine, "sw", l2::CommoditySwitchConfig{.port_count = 4}};
+  std::vector<std::unique_ptr<net::Nic>> nics;
+  for (std::uint8_t i = 0; i < 4; ++i) {
+    nics.push_back(std::make_unique<net::Nic>(engine, "h", net::MacAddr::from_host_id(i + 1u),
+                                              net::Ipv4Addr{10, 0, 0, i}));
+    fabric.connect(sw, i, *nics.back(), 0, net::LinkConfig{});
+  }
+  const net::Ipv4Addr group{239, 1, 1, 1};
+  std::uint64_t delivered = 0;
+  for (net::PortId port = 1; port < 4; ++port) {
+    sw.join_group(group, port);
+    nics[port]->subscribe_multicast_mac(net::multicast_mac(group));
+    nics[port]->set_rx_handler([&delivered](const net::PacketPtr&, sim::Time) { ++delivered; });
+  }
+  nics[1]->set_rx_delay(sim::nanos(std::int64_t{500}));  // deferred-rx capture too
+  std::array<std::byte, 18> payload{};
+  payload.fill(std::byte{0x42});
+  std::vector<std::byte> frame;
+  net::build_multicast_frame_into(frame, nics[0]->mac(), nics[0]->ip(), group, 30'001,
+                                  std::span<const std::byte>{payload});
+  auto send_batch = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      nics[0]->send_frame(std::span<const std::byte>{frame});
+      engine.run();
+    }
+  };
+  send_batch(64);  // warm: packet pools, engine heap, switch scratch
+  ASSERT_EQ(delivered, 64u * 3u);
+
+  const std::uint64_t before = allocations();
+  send_batch(64);
+  EXPECT_EQ(allocations() - before, 0u)
+      << "warm switch multicast fan-out must not touch the heap";
+  EXPECT_EQ(delivered, 128u * 3u);
+  EXPECT_EQ(sw.stats().replications, 128u * 3u);
 }
 
 TEST(HotPathAlloc, WarmBookUpdateMixIsAllocationFree) {

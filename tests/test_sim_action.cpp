@@ -6,8 +6,10 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <span>
 #include <utility>
 
+#include "net/packet.hpp"
 #include "sim/time.hpp"
 
 namespace tsn::sim {
@@ -30,26 +32,32 @@ TEST(InlineAction, InvokesStoredCallable) {
 TEST(InlineAction, HotPathCaptureSizesStayInline) {
   // The capture-size contract from DESIGN.md "Hot-path memory model": every
   // scheduling site across src/ must fit the inline buffer. The largest is
-  // the NIC rx deferral (std::function + PacketPtr + Time = 56 bytes).
+  // the NIC rx deferral (std::function + PacketPtr + Time = 48 bytes).
+  static_assert(sizeof(net::PacketPtr) == 8, "PacketPtr is a single-pointer handle");
   struct NicRxCapture {
     std::function<void()> handler;
-    std::shared_ptr<const int> packet;
+    net::PacketPtr packet;
     Time arrival;
   };
+  static_assert(sizeof(NicRxCapture) == 48);
   static_assert(InlineAction::stores_inline<NicRxCapture>());
 
   struct LinkDeliveryCapture {
     void* dst;
     std::uint32_t port;
-    std::shared_ptr<const int> packet;
+    net::PacketPtr packet;
   };
   static_assert(InlineAction::stores_inline<LinkDeliveryCapture>());
 
   int sink = 0;
   auto* sink_ptr = &sink;
-  std::shared_ptr<const int> payload = std::make_shared<int>(7);
+  net::PacketFactory factory;
+  const std::array<std::byte, 7> bytes{};
+  const net::PacketPtr payload = factory.make(std::span<const std::byte>{bytes}, Time{});
   const Time arrival{42};
-  InlineAction action{[sink_ptr, payload, arrival] { *sink_ptr += *payload; }};
+  InlineAction action{[sink_ptr, payload, arrival] {
+    *sink_ptr += static_cast<int>(payload->size_bytes());
+  }};
   EXPECT_TRUE(action.stored_inline());
   action();
   EXPECT_EQ(sink, 7);

@@ -14,6 +14,7 @@
 
 #include "sim/domain.hpp"
 #include "sim/engine.hpp"
+#include "rearm_churn.hpp"
 #include "telemetry/trace.hpp"
 
 namespace tsn::sim {
@@ -291,6 +292,39 @@ TEST(ShardedEngine, StopRequestHaltsAllShards) {
   engine.domain(1).schedule_at(Time{200}, [&hits] { ++hits; });
   engine.run();
   EXPECT_EQ(hits, 1);
+}
+
+TEST(ShardedEngine, RearmChurnCompactsEveryShardInBothModes) {
+  // The RTO cancel/re-arm pattern on each of two shards. Every shard's
+  // firing order must equal its (time, seq)-sorted oracle and its heap must
+  // stay within the compaction bound, in golden mode and in windowed mode
+  // with the shards running on separate workers.
+  constexpr DomainId kDomains = 2;
+  using Churn = testing::RearmChurn<Domain>;
+  std::array<std::vector<Churn::Event>, kDomains> golden_fired;
+  for (const SyncMode mode : {SyncMode::kGolden, SyncMode::kWindowed}) {
+    ShardedEngine engine{{.domains = kDomains, .num_workers = 2, .mode = mode}};
+    std::vector<std::unique_ptr<Churn>> churns;
+    for (DomainId d = 0; d < kDomains; ++d) {
+      churns.push_back(std::make_unique<Churn>(engine.domain(d), 3 + static_cast<int>(d), 1'000));
+      churns.back()->start();
+    }
+    engine.run();
+    for (DomainId d = 0; d < kDomains; ++d) {
+      const Churn& churn = *churns[d];
+      const char* label = mode == SyncMode::kGolden ? "golden" : "windowed";
+      EXPECT_EQ(churn.rearms(), 1'000u * (3 + d)) << label << " domain " << d;
+      EXPECT_EQ(churn.fired(), churn.oracle()) << label << " domain " << d;
+      EXPECT_EQ(churn.bound_violations(), 0u) << label << " domain " << d;
+      // Two live events per connection at most: never more than 10 live.
+      EXPECT_LE(churn.max_heap(), 2 * 10 + EventQueue::kCompactSlack) << label;
+      if (mode == SyncMode::kGolden) {
+        golden_fired[d] = churn.fired();
+      } else {
+        EXPECT_EQ(churn.fired(), golden_fired[d]) << "windowed diverged on domain " << d;
+      }
+    }
+  }
 }
 
 }  // namespace

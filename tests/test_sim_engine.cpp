@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "rearm_churn.hpp"
+
 namespace tsn::sim {
 namespace {
 
@@ -281,6 +283,50 @@ TEST(Engine, ManyCancelsStayCheap) {
   EXPECT_EQ(engine.pending_events(), 0u);
   EXPECT_EQ(engine.run(), 0u);
   EXPECT_EQ(engine.events_fired(), 0u);
+}
+
+TEST(Engine, RearmChurnCompactsHeapWithoutReordering) {
+  // The TCP RTO pattern: 4 connections x 1,500 short events, each cancelling
+  // and re-arming a 5 ms timer. Without compaction every re-arm would leave
+  // a stale entry in the heap until its 5 ms deadline surfaced.
+  Engine engine;
+  testing::RearmChurn<Engine> churn{engine, 4, 1'500};
+  churn.start();
+  engine.run();
+  EXPECT_EQ(churn.rearms(), 6'000u);
+  EXPECT_EQ(churn.fired(), churn.oracle()) << "firing order must be (time, seq) order";
+  EXPECT_EQ(churn.fired().size(), 6'000u + 4u);  // every short event + the last timers
+  EXPECT_EQ(churn.bound_violations(), 0u) << "heap exceeded 2 * live + kCompactSlack";
+  // At most two live events per connection (its timer and its next short
+  // event), so never more than 10 live on any scheduler here.
+  EXPECT_LE(churn.max_heap(), 2 * 10 + EventQueue::kCompactSlack);
+  EXPECT_EQ(engine.heap_entries(), 0u);
+}
+
+TEST(Engine, CompactionKeepsEveryLiveEventAfterMassCancel) {
+  // Cancel all but every tenth of 10k events in one burst: compaction fires
+  // many times mid-burst and must keep exactly the survivors, in order.
+  Engine engine;
+  std::vector<EventHandle> handles;
+  std::vector<int> order;
+  for (int i = 0; i < 10'000; ++i) {
+    // Reverse time order so the heap's layout differs from the firing order.
+    handles.push_back(engine.schedule_at(Time{10'000 - i}, [&order, i] { order.push_back(i); }));
+  }
+  for (int i = 0; i < 10'000; ++i) {
+    if (i % 10 != 0) {
+      EXPECT_TRUE(engine.cancel(handles[static_cast<std::size_t>(i)]));
+      EXPECT_LE(engine.heap_entries(),
+                2 * engine.pending_events() + EventQueue::kCompactSlack);
+    }
+  }
+  EXPECT_EQ(engine.pending_events(), 1'000u);
+  EXPECT_LE(engine.heap_entries(), 2 * 1'000u + EventQueue::kCompactSlack);
+  EXPECT_EQ(engine.run(), 1'000u);
+  ASSERT_EQ(order.size(), 1'000u);
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    EXPECT_EQ(order[k], 9'990 - static_cast<int>(k) * 10);
+  }
 }
 
 }  // namespace
