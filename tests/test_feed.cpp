@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 
 #include "feed/burst.hpp"
 #include "feed/framelen.hpp"
@@ -175,6 +176,11 @@ struct ProfileCase {
   double median_target;
   double max_target;
 };
+
+// gtest would otherwise print the raw bytes of the case, which include the
+// label and profile-name pointers; ASLR makes those (and so the discovered
+// ctest names) differ on every build.
+void PrintTo(const ProfileCase& c, std::ostream* os) { *os << "Exchange " << c.label; }
 
 class FrameLengthTest : public ::testing::TestWithParam<ProfileCase> {};
 
