@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/check.hpp"
+#include "proto/pitch.hpp"
 
 namespace tsn::book {
 
@@ -382,6 +383,59 @@ bool OrderBook::replace(OrderId id, Quantity new_quantity, Price new_price) {
   match_incoming(incoming);
   if (incoming.quantity > 0) rest_order(incoming);
   return true;
+}
+
+// tsn-lint: hotpath
+std::optional<Order> OrderBook::mirror(const proto::pitch::DecodedBatch& batch,
+                                       std::size_t row) {
+  using proto::pitch::DecodedKind;
+  const DecodedKind kind = batch.kind[row];
+  if (kind != DecodedKind::kAddOrder && kind != DecodedKind::kOrderExecuted &&
+      kind != DecodedKind::kReduceSize && kind != DecodedKind::kModifyOrder &&
+      kind != DecodedKind::kDeleteOrder) {
+    return std::nullopt;
+  }
+  const OrderId id = batch.order_id[row];
+  const std::uint32_t slot = index_find(id);
+  if (slot == kNull && kind != DecodedKind::kAddOrder) return std::nullopt;
+  std::optional<Order> prior;
+  if (slot != kNull) prior = Order{id, order_side_[slot], order_price_[slot], order_qty_[slot]};
+  // One index lookup serves the whole edit.
+  const auto remove = [&] {
+    index_erase(id);
+    unlink_order(slot);
+  };
+  switch (kind) {
+    case DecodedKind::kAddOrder:
+      if (prior) remove();
+      if (batch.quantity[row] > 0) {
+        rest_order(Order{id, batch.side[row], batch.price[row], batch.quantity[row]});
+      }
+      break;
+    case DecodedKind::kOrderExecuted:
+    case DecodedKind::kReduceSize: {
+      const Quantity cut = std::min(batch.quantity[row], prior->quantity);
+      if (cut == prior->quantity) {
+        remove();
+      } else {
+        order_qty_[slot] -= cut;
+        level_qty_[order_level_[slot]] -= cut;
+      }
+      break;
+    }
+    case DecodedKind::kModifyOrder:
+      remove();
+      if (batch.quantity[row] > 0) {
+        rest_order(Order{id, prior->side, batch.price[row], batch.quantity[row]});
+      }
+      break;
+    case DecodedKind::kDeleteOrder:
+      remove();
+      break;
+    default:
+      break;  // rows without a book edit returned above
+  }
+  return prior;
 }
 
 void OrderBook::for_each_order(const std::function<void(const Order&)>& fn) const {

@@ -1,6 +1,8 @@
-// Price-time-priority limit order book — the matching substrate every
+// Price-time-priority limit order book. It is the matching substrate every
 // exchange in the simulation runs (§2: exchanges "match up compatible buy
-// and sell orders").
+// and sell orders"), and the feed mirror consumers rebuild from market data:
+// the normalizer and the replay-to-book lane apply PITCH rows through
+// mirror(), which repeats the exchange's edits without matching.
 //
 // Pooled struct-of-arrays implementation (ROADMAP item 4). Orders and price
 // levels live in slab-allocated parallel columns with freelist reuse:
@@ -17,8 +19,9 @@
 //
 // The book reports every state change through a listener interface, which
 // the exchange turns into market-data messages. Event order, execution ids,
-// and all query results are byte-identical to the node-based ReferenceBook
-// (asserted by tests/test_book_differential.cpp).
+// and all query results are byte-identical to a node-based reference book
+// kept as a test oracle (tests/reference_book.*, asserted by
+// tests/test_book_differential.cpp).
 #pragma once
 
 #include <cstddef>
@@ -29,6 +32,10 @@
 #include <vector>
 
 #include "proto/types.hpp"
+
+namespace tsn::proto::pitch {
+struct DecodedBatch;
+}  // namespace tsn::proto::pitch
 
 namespace tsn::book {
 
@@ -140,6 +147,20 @@ class OrderBook {
   // Price or size-increase change: cancels and re-enters (loses priority),
   // matching immediately if marketable. False if unknown.
   bool replace(OrderId id, Quantity new_quantity, Price new_price);
+
+  // Applies row `row` of a batch-decoded PITCH datagram as a mirror of the
+  // exchange's book: the edit the exchange already made, never a new match.
+  //   add              rests without matching (a lossy feed may leave the
+  //                    mirror crossed); a live id is replaced, not doubled
+  //   execute, reduce  clamp to the resting quantity; the order leaves at 0
+  //   modify           a cancel followed by a rest at the new price and size
+  //   delete           a cancel
+  // Returns the order as it was before the edit: nullopt for an id the book
+  // does not hold (a fresh add, or an edit of an unknown order) and for rows
+  // that carry no book edit (time, trade, snapshot framing). Meant for a
+  // book without a listener: the edits are the exchange's, already
+  // published.
+  std::optional<Order> mirror(const proto::pitch::DecodedBatch& batch, std::size_t row);
 
   [[nodiscard]] BestQuote best() const;
   // Visits every resting order, bids first (best to worst), then asks —

@@ -1,6 +1,5 @@
 #include "capture/replay.hpp"
 
-#include <algorithm>
 #include <memory>
 #include <stdexcept>
 
@@ -84,66 +83,22 @@ std::uint64_t BookReplayer::apply(const proto::pitch::DecodedBatch& batch) {
   for (std::size_t i = 0; i < batch.count; ++i) {
     ++stats_.messages;
     switch (batch.kind[i]) {
-      case DecodedKind::kAddOrder: {
-        // Feed adds describe orders already resting on the exchange book,
-        // so they never cross; submit() rests them directly.
-        (void)book_.submit(book::Order{batch.order_id[i], batch.side[i], batch.price[i],
-                                       batch.quantity[i]});
+      case DecodedKind::kAddOrder:
+        (void)book_.mirror(batch, i);
         ++applied;
         break;
-      }
-      case DecodedKind::kOrderExecuted: {
-        const auto resting = book_.find(batch.order_id[i]);
-        if (!resting) {
-          ++stats_.unknown_orders;
-          break;
-        }
-        const proto::Quantity traded = std::min(batch.quantity[i], resting->quantity);
-        if (traded == resting->quantity) {
-          (void)book_.cancel(batch.order_id[i]);
+      case DecodedKind::kOrderExecuted:
+      case DecodedKind::kReduceSize:
+      case DecodedKind::kModifyOrder:
+      case DecodedKind::kDeleteOrder:
+        if (book_.mirror(batch, i)) {
+          ++applied;
         } else {
-          (void)book_.reduce(batch.order_id[i], resting->quantity - traded);
-        }
-        ++applied;
-        break;
-      }
-      case DecodedKind::kReduceSize: {
-        const auto resting = book_.find(batch.order_id[i]);
-        if (!resting) {
           ++stats_.unknown_orders;
-          break;
         }
-        const proto::Quantity cut = std::min(batch.quantity[i], resting->quantity);
-        if (cut == resting->quantity) {
-          (void)book_.cancel(batch.order_id[i]);
-        } else {
-          (void)book_.reduce(batch.order_id[i], resting->quantity - cut);
-        }
-        ++applied;
         break;
-      }
-      case DecodedKind::kModifyOrder: {
-        if (!book_.replace(batch.order_id[i], batch.quantity[i], batch.price[i])) {
-          ++stats_.unknown_orders;
-          break;
-        }
-        ++applied;
-        break;
-      }
-      case DecodedKind::kDeleteOrder: {
-        if (!book_.cancel(batch.order_id[i])) {
-          ++stats_.unknown_orders;
-          break;
-        }
-        ++applied;
-        break;
-      }
-      case DecodedKind::kTime:
-      case DecodedKind::kTrade:
-      case DecodedKind::kSnapshotBegin:
-      case DecodedKind::kSnapshotEnd:
-        // Clock, off-book prints, and snapshot framing carry no book edits.
-        break;
+      default:
+        break;  // clock, off-book prints and snapshot framing carry no book edits
     }
   }
   return applied;

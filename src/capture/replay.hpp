@@ -69,10 +69,11 @@ class FrameReplayer {
 
 // Replay-to-book fast lane (ROADMAP item 4): walks a recording of feed
 // frames straight into a book — decode_frame to find the UDP payload, one
-// batch decode per datagram, then flat-column book updates. No scheduler,
-// no NIC hop, no per-message variant: this is the path the "whole trading
-// day through the strategy stack before tomorrow's open" use case needs,
-// and what bench_micro_hotpaths measures as replay.to_book_msgs_per_s.
+// batch decode per datagram, then OrderBook::mirror per row, the same book
+// edit the live normalizer makes. No scheduler, no NIC hop, no per-message
+// variant: this is the path the "whole trading day through the strategy
+// stack before tomorrow's open" use case needs, and what
+// bench_micro_hotpaths measures as replay.to_book_msgs_per_s.
 class BookReplayer {
  public:
   explicit BookReplayer(book::OrderBook& book) noexcept : book_(book) {}
@@ -82,7 +83,7 @@ class BookReplayer {
     std::uint64_t messages = 0;        // decoded rows seen
     std::uint64_t applied = 0;         // rows that mutated the book
     std::uint64_t malformed_datagrams = 0;
-    std::uint64_t unknown_orders = 0;  // executes/reduces/deletes for unseen ids
+    std::uint64_t unknown_orders = 0;  // executes/reduces/modifies/deletes for unseen ids
   };
 
   // Applies one recorded Ethernet frame (non-UDP frames are counted

@@ -187,5 +187,108 @@ TEST(Replay, EmptyRecordingIsANoop) {
   EXPECT_EQ(engine.pending_events(), 0u);
 }
 
+// Packs hand-written feed messages into one PITCH datagram payload.
+std::vector<std::byte> pitch_payload(const std::vector<proto::pitch::Message>& messages) {
+  std::vector<std::byte> payload;
+  proto::pitch::FrameBuilder builder{
+      0, 1458, [&payload](std::vector<std::byte> p, const proto::pitch::UnitHeader&) {
+        payload = std::move(p);
+      }};
+  for (const auto& message : messages) builder.append(message);
+  builder.flush();
+  return payload;
+}
+
+std::vector<book::Order> orders_of(const book::OrderBook& book) {
+  std::vector<book::Order> out;
+  book.for_each_order([&out](const book::Order& o) { out.push_back(o); });
+  return out;
+}
+
+TEST(BookReplayer, ReplayOfRecordedFeedReproducesExchangeBook) {
+  sim::Engine engine;
+  net::Fabric fabric{engine};
+  auto config = exchange_config();
+  config.symbols.resize(1);  // the replay-to-book lane mirrors one symbol
+  exchange::Exchange exch{engine, config};
+  FrameRecorder recorder;
+  Tap tap{engine, "tap"};
+  tap.set_packet_hook([&recorder](const net::PacketPtr& packet, net::PortId port, sim::Time at) {
+    if (port == 0) recorder.record(packet, at);
+  });
+  net::Nic sink{engine, "sink", net::MacAddr::from_host_id(30), net::Ipv4Addr{10, 0, 3, 1}};
+  fabric.connect(exch.feed_nic(), 0, tap, 0, net::LinkConfig{});
+  fabric.connect(tap, 1, sink, 0, net::LinkConfig{});
+  exchange::MarketActivityDriver driver{exch, exchange::ActivityConfig{}, 17};
+  driver.run_until(sim::Time::zero() + sim::millis(std::int64_t{40}));
+  engine.run();
+  const book::OrderBook& truth = exch.book(config.symbols[0].symbol);
+  ASSERT_GT(driver.stats().replaces, 0u);
+  ASSERT_GT(driver.stats().crosses, 0u);
+  ASSERT_GT(truth.open_orders(), 10u);
+
+  book::OrderBook mirror{config.symbols[0].symbol};
+  BookReplayer replayer{mirror};
+  EXPECT_GT(replayer.replay(recorder.frames()), 0u);
+  EXPECT_EQ(replayer.stats().unknown_orders, 0u);
+  EXPECT_EQ(replayer.stats().malformed_datagrams, 0u);
+  EXPECT_EQ(mirror.best(), truth.best());
+  EXPECT_EQ(mirror.open_orders(), truth.open_orders());
+  const auto expected = orders_of(truth);
+  const auto actual = orders_of(mirror);
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(actual[i].id, expected[i].id);
+    EXPECT_EQ(actual[i].price, expected[i].price);
+    EXPECT_EQ(actual[i].quantity, expected[i].quantity);
+  }
+  EXPECT_EQ(mirror.executions(), 0u);  // the mirror never matches
+}
+
+TEST(BookReplayer, CrossingAddRestsWithoutMatching) {
+  book::OrderBook book{proto::Symbol{"AAA"}};
+  BookReplayer replayer{book};
+  proto::pitch::AddOrder bid;
+  bid.order_id = 1;
+  bid.side = proto::Side::kBuy;
+  bid.symbol = proto::Symbol{"AAA"};
+  bid.price = proto::price_from_dollars(10);
+  bid.quantity = 100;
+  proto::pitch::AddOrder ask = bid;
+  ask.order_id = 2;
+  ask.side = proto::Side::kSell;
+  ask.price = proto::price_from_dollars(9);  // crosses the bid
+  ask.quantity = 40;
+  EXPECT_EQ(replayer.replay_payload(pitch_payload({bid, ask})), 2u);
+  EXPECT_EQ(book.open_orders(), 2u);
+  EXPECT_EQ(book.executions(), 0u);
+  const auto best = book.best();
+  EXPECT_EQ(best.bid_price, proto::price_from_dollars(10));
+  EXPECT_EQ(best.bid_quantity, 100u);
+  EXPECT_EQ(best.ask_price, proto::price_from_dollars(9));
+  EXPECT_EQ(best.ask_quantity, 40u);
+}
+
+TEST(BookReplayer, UnknownIdsAreCounted) {
+  book::OrderBook book{proto::Symbol{"AAA"}};
+  BookReplayer replayer{book};
+  proto::pitch::OrderExecuted exec;
+  exec.order_id = 11;
+  exec.executed_quantity = 10;
+  proto::pitch::ReduceSize reduce;
+  reduce.order_id = 12;
+  reduce.cancelled_quantity = 10;
+  proto::pitch::ModifyOrder modify;
+  modify.order_id = 13;
+  modify.quantity = 10;
+  modify.price = 100;
+  proto::pitch::DeleteOrder del;
+  del.order_id = 14;
+  EXPECT_EQ(replayer.replay_payload(pitch_payload({exec, reduce, modify, del})), 0u);
+  EXPECT_EQ(replayer.stats().messages, 4u);
+  EXPECT_EQ(replayer.stats().unknown_orders, 4u);
+  EXPECT_EQ(book.open_orders(), 0u);
+}
+
 }  // namespace
 }  // namespace tsn::capture
