@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "book/order_book.hpp"
-#include "book/reference_book.hpp"
+#include "reference_book.hpp"
 #include "proto/pitch.hpp"
 #include "sim/random.hpp"
 
