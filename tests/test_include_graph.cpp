@@ -18,6 +18,9 @@
 namespace tsn::analyze {
 namespace {
 
+using json::JsonValue;
+using json::parse_json;
+
 using Tree = std::map<std::string, std::vector<std::string>>;
 
 FileProvider provider_for(const Tree& tree) {

@@ -7,6 +7,9 @@
 
 namespace tsn::analyze {
 
+using json::JsonValue;
+using json::parse_json;
+
 std::optional<Baseline> load_baseline(const std::string& path, std::string* error) {
   std::ifstream in(path);
   if (!in) {

@@ -9,6 +9,9 @@
 
 namespace tsn::analyze {
 
+using json::JsonValue;
+using json::parse_json;
+
 const std::vector<std::string>& all_rules() {
   static const std::vector<std::string> kRules = {
       // wire safety
