@@ -381,5 +381,48 @@ TEST(HotPathAlloc, WarmBatchDecodeIsAllocationFree) {
   EXPECT_EQ(batch.count, 50u);
 }
 
+TEST(HotPathAlloc, WarmFeedMirrorIsAllocationFree) {
+  // OrderBook::mirror, the feed-row edit the normalizer and BookReplayer
+  // share: once the book's slabs and index are warm, adds (including
+  // replacing a live id), executes, reduces, modifies and deletes reuse
+  // freed slots and never allocate.
+  std::vector<std::byte> payload;
+  proto::pitch::FrameBuilder builder{1, 1458,
+                                     [&payload](std::vector<std::byte> p,
+                                                const proto::pitch::UnitHeader&) {
+                                       payload = std::move(p);
+                                     }};
+  proto::pitch::AddOrder add;
+  add.symbol = proto::Symbol{"ACME"};
+  add.quantity = 100;
+  for (int i = 0; i < 24; ++i) {
+    add.order_id = static_cast<proto::OrderId>(i + 1);
+    add.side = (i & 1) != 0 ? proto::Side::kBuy : proto::Side::kSell;
+    add.price = (add.side == proto::Side::kBuy ? 50'000 : 60'000) + (i % 6) * 100;
+    builder.append(proto::pitch::Message{add});
+  }
+  for (int i = 0; i < 6; ++i) {
+    const auto id = static_cast<proto::OrderId>(i + 1);
+    builder.append(proto::pitch::Message{proto::pitch::OrderExecuted{0, id, 40, 0}});
+    builder.append(proto::pitch::Message{proto::pitch::ReduceSize{0, id + 6, 30}});
+    builder.append(proto::pitch::Message{proto::pitch::ModifyOrder{0, id + 12, 70, 55'000, 0}});
+    builder.append(proto::pitch::Message{proto::pitch::DeleteOrder{0, id + 18}});
+  }
+  builder.flush();
+  proto::pitch::DecodedBatch batch;
+  ASSERT_TRUE(proto::pitch::decode_batch(payload, batch));
+  book::OrderBook book{proto::Symbol{"ACME"}};
+  auto mirror_all = [&book, &batch] {
+    for (std::size_t row = 0; row < batch.count; ++row) (void)book.mirror(batch, row);
+  };
+  mirror_all();  // warm: slab, level and index growth
+
+  const std::uint64_t before = allocations();
+  for (int i = 0; i < 1'024; ++i) mirror_all();
+  EXPECT_EQ(allocations() - before, 0u) << "warm feed mirroring must not touch the heap";
+  EXPECT_EQ(book.open_orders(), 18u);  // every live id replaced, six deleted
+  EXPECT_EQ(book.executions(), 0u);
+}
+
 }  // namespace
 }  // namespace tsn
