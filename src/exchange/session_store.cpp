@@ -18,28 +18,69 @@ constexpr std::uint8_t kEmpty = 0;
 constexpr std::uint8_t kFull = 1;
 constexpr std::uint8_t kTombstone = 2;
 
+[[nodiscard]] std::uint64_t mix64(std::uint64_t x) noexcept {
+  x ^= x >> 33;
+  x *= 0xff51afd7ed558ccdULL;
+  x ^= x >> 33;
+  x *= 0xc4ceb9fe1a85ec53ULL;
+  x ^= x >> 33;
+  return x;
+}
+
+// Avalanche the id BEFORE folding in the slot: clients commonly derive ids
+// from their session number (e.g. session<<32 | seq), and slots are handed
+// out in login order, so a plain xor of the raw parts cancels to a handful
+// of distinct pre-mix keys across the whole population — every session
+// then probes the same chain. mix64 is bijective, so mixing first keeps
+// distinct ids distinct no matter how structured they are. The generation
+// is compared, not hashed, so the probe's first line and the session row
+// (which holds the generation) load in parallel.
+[[nodiscard]] std::uint64_t client_key_hash(std::uint32_t slot, proto::OrderId client_id) noexcept {
+  return mix64(mix64(client_id) + slot * 0x9e3779b97f4a7c15ULL);
+}
+
+// Hands out a slab row: the freelist head if there is one (LIFO reuse),
+// else a fresh row at the end. Only here does a slab row get constructed,
+// so reserve() costs address space, not page faults.
+template <typename Row>
+[[nodiscard]] std::uint32_t take_row(Column<Row>& rows, std::uint32_t& free_head) {
+  if (free_head == SessionStore::kNullSlot) {
+    rows.emplace_back();
+    return static_cast<std::uint32_t>(rows.size() - 1);
+  }
+  const std::uint32_t slot = free_head;
+  free_head = rows[slot].next;
+  return slot;
+}
+
+template <typename Row>
+void free_row(Column<Row>& rows, std::uint32_t& free_head, std::uint32_t slot) noexcept {
+  rows[slot].next = free_head;
+  free_head = slot;
+}
+
 }  // namespace
 
 SessionStore::SessionStore(SessionStoreConfig config) {
   const std::size_t shard_count = next_pow2(std::max<std::uint32_t>(1, config.shards));
   shards_.resize(shard_count);
   shard_mask_ = static_cast<std::uint32_t>(shard_count - 1);
-  for (Shard& shard : shards_) dir_grow(shard, 16);
-  exch_grow(16);
+  for (Shard& shard : shards_) shard.dir.grow(16);
+  exch_index_.grow(16);
   client_grow(16);
 }
 
 void SessionStore::reserve(std::size_t sessions, std::size_t orders, std::size_t journal_bytes) {
-  if (sessions > sess_external_.size()) grow_sessions(next_pow2(sessions));
-  if (orders > ord_client_.size()) grow_orders(next_pow2(orders));
+  sessions_.reserve(next_pow2(sessions));
+  orders_.reserve(next_pow2(orders));
   // One journal record per staged message; size the record slab for the
   // arena byte budget assuming small (header-ish) messages.
   const std::size_t records = std::max<std::size_t>(sessions, journal_bytes / 16);
-  if (records > jr_seq_.size()) grow_records(next_pow2(records));
+  records_.reserve(next_pow2(records));
   for (Shard& shard : shards_) {
-    dir_grow(shard, next_pow2(std::max<std::size_t>(16, (2 * sessions) / shards_.size())));
+    shard.dir.grow(next_pow2(std::max<std::size_t>(16, (2 * sessions) / shards_.size())));
   }
-  exch_grow(next_pow2(std::max<std::size_t>(16, 2 * orders)));
+  exch_index_.grow(next_pow2(std::max<std::size_t>(16, 2 * orders)));
   // The client index keeps one entry per client id *ever used*; give it the
   // same budget as the journal-record slab so warm churn stays rehash-free.
   client_grow(next_pow2(std::max<std::size_t>(16, 2 * std::max(orders, records / 4))));
@@ -48,215 +89,69 @@ void SessionStore::reserve(std::size_t sessions, std::size_t orders, std::size_t
   staged_.reserve(std::max<std::size_t>(256, sessions));
 }
 
-// --- slabs ---------------------------------------------------------------
+// --- slot indexes: per-shard session directory, exchange-order-id index ----
 
-void SessionStore::grow_sessions(std::size_t new_capacity) {
-  const std::size_t old = sess_external_.size();
-  TSN_ASSERT(new_capacity > old, "index grow overflow");
-  sess_external_.resize(new_capacity);
-  sess_token_.resize(new_capacity);
-  sess_gen_.resize(new_capacity, 0);
-  sess_tx_seq_.resize(new_capacity);
-  sess_conn_.resize(new_capacity);
-  sess_flags_.resize(new_capacity);
-  sess_order_head_.resize(new_capacity);
-  sess_order_count_.resize(new_capacity);
-  sess_jr_head_.resize(new_capacity);
-  sess_jr_tail_.resize(new_capacity);
-  sess_jr_count_.resize(new_capacity);
-  sess_shard_.resize(new_capacity);
-  sess_prev_.resize(new_capacity);
-  sess_next_.resize(new_capacity);
-  // New rows join the freelist in descending order so allocation hands out
-  // ascending slots — keeps slot order deterministic and cache-friendly.
-  for (std::size_t i = new_capacity; i > old; --i) {
-    const auto slot = static_cast<std::uint32_t>(i - 1);
-    sess_next_[slot] = free_sess_;
-    free_sess_ = slot;
-  }
-}
-
-void SessionStore::grow_orders(std::size_t new_capacity) {
-  const std::size_t old = ord_client_.size();
-  TSN_ASSERT(new_capacity > old, "index grow overflow");
-  ord_client_.resize(new_capacity);
-  ord_exch_.resize(new_capacity);
-  ord_session_.resize(new_capacity);
-  ord_symbol_.resize(new_capacity);
-  ord_prev_.resize(new_capacity);
-  ord_next_.resize(new_capacity);
-  for (std::size_t i = new_capacity; i > old; --i) {
-    const auto slot = static_cast<std::uint32_t>(i - 1);
-    ord_next_[slot] = free_ord_;
-    free_ord_ = slot;
-  }
-}
-
-void SessionStore::grow_records(std::size_t new_capacity) {
-  const std::size_t old = jr_seq_.size();
-  TSN_ASSERT(new_capacity > old, "index grow overflow");
-  jr_seq_.resize(new_capacity);
-  jr_off_.resize(new_capacity);
-  jr_len_.resize(new_capacity);
-  jr_next_.resize(new_capacity);
-  for (std::size_t i = new_capacity; i > old; --i) {
-    const auto slot = static_cast<std::uint32_t>(i - 1);
-    jr_next_[slot] = free_jr_;
-    free_jr_ = slot;
-  }
-}
-
-std::uint32_t SessionStore::alloc_session() {
-  if (free_sess_ == kNullSlot) {
-    grow_sessions(std::max<std::size_t>(16, sess_external_.size() * 2));
-  }
-  const std::uint32_t slot = free_sess_;
-  free_sess_ = sess_next_[slot];
-  return slot;
-}
-
-std::uint32_t SessionStore::alloc_order() {
-  if (free_ord_ == kNullSlot) {
-    grow_orders(std::max<std::size_t>(16, ord_client_.size() * 2));
-  }
-  const std::uint32_t slot = free_ord_;
-  free_ord_ = ord_next_[slot];
-  return slot;
-}
-
-std::uint32_t SessionStore::alloc_record() {
-  if (free_jr_ == kNullSlot) {
-    grow_records(std::max<std::size_t>(64, jr_seq_.size() * 2));
-  }
-  const std::uint32_t slot = free_jr_;
-  free_jr_ = jr_next_[slot];
-  return slot;
-}
-
-// --- per-shard session-id directory --------------------------------------
+// Slot indexes hash with mix64, never with shard_of's mix32: every id of a
+// shard shares mix32's low bits, which would leave a shard's table only
+// capacity / shards home buckets and turn each probe into a long walk.
 
 // tsn-lint: hotpath
-std::uint32_t SessionStore::dir_find(const Shard& shard, std::uint32_t session_id) const noexcept {
-  const std::size_t mask = shard.keys.size() - 1;
-  std::size_t pos = mix32(session_id) & mask;
+template <typename Key>
+std::uint32_t SessionStore::SlotIndex<Key>::find(Key key) const noexcept {
+  const std::size_t mask = entries.size() - 1;
+  std::size_t pos = mix64(key) & mask;
   while (true) {
-    const std::uint8_t state = shard.states[pos];
-    if (state == kEmpty) return kNullSlot;
-    if (state == kFull && shard.keys[pos] == session_id) return shard.slots[pos];
+    const Entry& e = entries[pos];
+    if (e.state == kEmpty) return kNullSlot;
+    if (e.state == kFull && e.key == key) return e.slot;
     pos = (pos + 1) & mask;
   }
 }
 
-void SessionStore::dir_insert(Shard& shard, std::uint32_t session_id, std::uint32_t slot) {
-  if ((shard.occupied + 1) * 10 >= shard.keys.size() * 7) {
+template <typename Key>
+void SessionStore::SlotIndex<Key>::insert(Key key, std::uint32_t slot) {
+  if ((occupied + 1) * 10 >= entries.size() * 7) {
     // Load trip dominated by tombstones (churn, not growth): rehash in
     // place to reclaim them instead of doubling — a long-lived table under
-    // login/destroy churn would otherwise grow without bound.
-    const bool mostly_dead = shard.count * 2 < shard.keys.size();
-    dir_grow(shard, mostly_dead ? shard.keys.size() : shard.keys.size() * 2);
+    // login/destroy or order register/close churn would otherwise grow
+    // without bound.
+    const bool mostly_dead = count * 2 < entries.size();
+    grow(mostly_dead ? entries.size() : entries.size() * 2);
   }
-  const std::size_t mask = shard.keys.size() - 1;
-  std::size_t pos = mix32(session_id) & mask;
-  while (shard.states[pos] == kFull) pos = (pos + 1) & mask;
-  if (shard.states[pos] == kEmpty) ++shard.occupied;
-  shard.states[pos] = kFull;
-  shard.keys[pos] = session_id;
-  shard.slots[pos] = slot;
-  ++shard.count;
+  const std::size_t mask = entries.size() - 1;
+  std::size_t pos = mix64(key) & mask;
+  while (entries[pos].state == kFull) pos = (pos + 1) & mask;
+  if (entries[pos].state == kEmpty) ++occupied;
+  entries[pos] = Entry{key, slot, kFull};
+  ++count;
 }
 
-void SessionStore::dir_erase(Shard& shard, std::uint32_t session_id) noexcept {
-  const std::size_t mask = shard.keys.size() - 1;
-  std::size_t pos = mix32(session_id) & mask;
+template <typename Key>
+void SessionStore::SlotIndex<Key>::erase(Key key) noexcept {
+  const std::size_t mask = entries.size() - 1;
+  std::size_t pos = mix64(key) & mask;
   while (true) {
-    const std::uint8_t state = shard.states[pos];
-    TSN_DCHECK(state != kEmpty, "probe fell off a full table");
-    if (state == kFull && shard.keys[pos] == session_id) {
-      shard.states[pos] = kTombstone;
-      --shard.count;
+    Entry& e = entries[pos];
+    TSN_DCHECK(e.state != kEmpty, "probe fell off a full table");
+    if (e.state == kFull && e.key == key) {
+      e.state = kTombstone;
+      --count;
       return;
     }
     pos = (pos + 1) & mask;
   }
 }
 
-void SessionStore::dir_grow(Shard& shard, std::size_t min_capacity) {
-  const std::size_t capacity = next_pow2(std::max<std::size_t>(min_capacity, 2 * shard.count));
-  if (capacity <= shard.keys.size() && shard.occupied == shard.count) return;
-  Column<std::uint32_t> old_keys = std::move(shard.keys);
-  Column<std::uint32_t> old_slots = std::move(shard.slots);
-  Column<std::uint8_t> old_states = std::move(shard.states);
-  shard.keys.assign(capacity, 0);
-  shard.slots.assign(capacity, 0);
-  shard.states.assign(capacity, kEmpty);
-  shard.count = 0;
-  shard.occupied = 0;
-  for (std::size_t i = 0; i < old_keys.size(); ++i) {
-    if (old_states[i] == kFull) dir_insert(shard, old_keys[i], old_slots[i]);
-  }
-}
-
-// --- exchange-order-id index ---------------------------------------------
-
-// tsn-lint: hotpath
-std::uint32_t SessionStore::exch_find(proto::OrderId id) const noexcept {
-  const std::size_t mask = exch_index_.keys.size() - 1;
-  std::size_t pos = mix64(id) & mask;
-  while (true) {
-    const std::uint8_t state = exch_index_.states[pos];
-    if (state == kEmpty) return kNullSlot;
-    if (state == kFull && exch_index_.keys[pos] == id) return exch_index_.slots[pos];
-    pos = (pos + 1) & mask;
-  }
-}
-
-void SessionStore::exch_insert(proto::OrderId id, std::uint32_t slot) {
-  if ((exch_index_.occupied + 1) * 10 >= exch_index_.keys.size() * 7) {
-    // Same compaction rule as dir_insert: order churn (register + close)
-    // leaves tombstones, and a bounded open-order book must not drag an
-    // ever-doubling index behind it.
-    const bool mostly_dead = exch_index_.count * 2 < exch_index_.keys.size();
-    exch_grow(mostly_dead ? exch_index_.keys.size() : exch_index_.keys.size() * 2);
-  }
-  const std::size_t mask = exch_index_.keys.size() - 1;
-  std::size_t pos = mix64(id) & mask;
-  while (exch_index_.states[pos] == kFull) pos = (pos + 1) & mask;
-  if (exch_index_.states[pos] == kEmpty) ++exch_index_.occupied;
-  exch_index_.states[pos] = kFull;
-  exch_index_.keys[pos] = id;
-  exch_index_.slots[pos] = slot;
-  ++exch_index_.count;
-}
-
-void SessionStore::exch_erase(proto::OrderId id) noexcept {
-  const std::size_t mask = exch_index_.keys.size() - 1;
-  std::size_t pos = mix64(id) & mask;
-  while (true) {
-    const std::uint8_t state = exch_index_.states[pos];
-    TSN_DCHECK(state != kEmpty, "probe fell off a full table");
-    if (state == kFull && exch_index_.keys[pos] == id) {
-      exch_index_.states[pos] = kTombstone;
-      --exch_index_.count;
-      return;
-    }
-    pos = (pos + 1) & mask;
-  }
-}
-
-void SessionStore::exch_grow(std::size_t min_capacity) {
-  const std::size_t capacity =
-      next_pow2(std::max<std::size_t>(min_capacity, 2 * exch_index_.count));
-  if (capacity <= exch_index_.keys.size() && exch_index_.occupied == exch_index_.count) return;
-  Column<proto::OrderId> old_keys = std::move(exch_index_.keys);
-  Column<std::uint32_t> old_slots = std::move(exch_index_.slots);
-  Column<std::uint8_t> old_states = std::move(exch_index_.states);
-  exch_index_.keys.assign(capacity, 0);
-  exch_index_.slots.assign(capacity, 0);
-  exch_index_.states.assign(capacity, kEmpty);
-  exch_index_.count = 0;
-  exch_index_.occupied = 0;
-  for (std::size_t i = 0; i < old_keys.size(); ++i) {
-    if (old_states[i] == kFull) exch_insert(old_keys[i], old_slots[i]);
+template <typename Key>
+void SessionStore::SlotIndex<Key>::grow(std::size_t min_capacity) {
+  const std::size_t capacity = next_pow2(std::max<std::size_t>(min_capacity, 2 * count));
+  if (capacity <= entries.size() && occupied == count) return;
+  Column<Entry> old = std::move(entries);
+  entries.assign(capacity, Entry{});
+  count = 0;
+  occupied = 0;
+  for (const Entry& e : old) {
+    if (e.state == kFull) insert(e.key, e.slot);
   }
 }
 
@@ -264,108 +159,63 @@ void SessionStore::exch_grow(std::size_t min_capacity) {
 
 // tsn-lint: hotpath
 std::uint32_t SessionStore::client_find(std::uint32_t slot, proto::OrderId id) const noexcept {
-  const std::uint32_t gen = sess_gen_[slot];
-  const std::size_t mask = client_index_.sess.size() - 1;
-  std::size_t pos = client_key_hash(slot, gen, id) & mask;
+  const std::size_t mask = client_index_.size() - 1;
+  std::size_t pos = client_key_hash(slot, id) & mask;
+  const std::uint32_t gen = sessions_[slot].gen;
   while (true) {
-    if (client_index_.states[pos] == kEmpty) return kNullSlot;
-    if (client_index_.sess[pos] == slot && client_index_.gen[pos] == gen &&
-        client_index_.client[pos] == id) {
-      return static_cast<std::uint32_t>(pos);
-    }
+    const ClientEntry& e = client_index_[pos];
+    if (e.state == kEmpty) return kNullSlot;
+    if (e.sess == slot && e.gen == gen && e.client == id) return static_cast<std::uint32_t>(pos);
     pos = (pos + 1) & mask;
   }
 }
 
-void SessionStore::client_insert(std::uint32_t slot, proto::OrderId id, std::uint32_t value) {
-  if ((client_index_.count + 1) * 10 >= client_index_.sess.size() * 7) {
-    client_grow(client_index_.sess.size() * 2);
-  }
-  const std::uint32_t gen = sess_gen_[slot];
-  const std::size_t mask = client_index_.sess.size() - 1;
-  std::size_t pos = client_key_hash(slot, gen, id) & mask;
-  while (client_index_.states[pos] == kFull) pos = (pos + 1) & mask;
-  client_index_.states[pos] = kFull;
-  client_index_.sess[pos] = slot;
-  client_index_.gen[pos] = gen;
-  client_index_.client[pos] = id;
-  client_index_.value[pos] = value;
-  ++client_index_.count;
-}
-
-// tsn-lint: hotpath
-void SessionStore::client_set(std::uint32_t slot, proto::OrderId id, std::uint32_t value) noexcept {
-  const std::uint32_t pos = client_find(slot, id);
-  TSN_DCHECK(pos != kNullSlot, "directory entry vanished");
-  client_index_.value[pos] = value;
+void SessionStore::client_insert(std::uint32_t slot, std::uint32_t gen, proto::OrderId id,
+                                 std::uint32_t value) {
+  const std::size_t mask = client_index_.size() - 1;
+  std::size_t pos = client_key_hash(slot, id) & mask;
+  while (client_index_[pos].state == kFull) pos = (pos + 1) & mask;
+  client_index_[pos] = ClientEntry{id, slot, gen, value, kFull};
+  ++client_count_;
 }
 
 void SessionStore::client_grow(std::size_t min_capacity) {
-  const std::size_t capacity =
-      next_pow2(std::max<std::size_t>(min_capacity, 2 * client_index_.count));
-  if (capacity <= client_index_.sess.size()) return;
-  Column<std::uint32_t> old_sess = std::move(client_index_.sess);
-  Column<std::uint32_t> old_gen = std::move(client_index_.gen);
-  Column<proto::OrderId> old_client = std::move(client_index_.client);
-  Column<std::uint32_t> old_value = std::move(client_index_.value);
-  Column<std::uint8_t> old_states = std::move(client_index_.states);
-  client_index_.sess.assign(capacity, 0);
-  client_index_.gen.assign(capacity, 0);
-  client_index_.client.assign(capacity, 0);
-  client_index_.value.assign(capacity, 0);
-  client_index_.states.assign(capacity, kEmpty);
-  client_index_.count = 0;
-  for (std::size_t i = 0; i < old_sess.size(); ++i) {
-    if (old_states[i] != kFull) continue;
+  const std::size_t capacity = next_pow2(std::max<std::size_t>(min_capacity, 2 * client_count_));
+  if (capacity <= client_index_.size()) return;
+  Column<ClientEntry> old = std::move(client_index_);
+  client_index_.assign(capacity, ClientEntry{});
+  client_count_ = 0;
+  for (const ClientEntry& e : old) {
     // Stale-generation marks belong to destroyed sessions; drop them here.
-    const std::uint32_t sess = old_sess[i];
-    if (sess < sess_gen_.size() && sess_gen_[sess] != old_gen[i]) continue;
-    client_insert_raw(sess, old_gen[i], old_client[i], old_value[i]);
+    if (e.state != kFull || sessions_[e.sess].gen != e.gen) continue;
+    client_insert(e.sess, e.gen, e.client, e.value);
   }
-}
-
-void SessionStore::client_insert_raw(std::uint32_t slot, std::uint32_t gen, proto::OrderId id,
-                                     std::uint32_t value) {
-  const std::size_t mask = client_index_.sess.size() - 1;
-  std::size_t pos = client_key_hash(slot, gen, id) & mask;
-  while (client_index_.states[pos] == kFull) pos = (pos + 1) & mask;
-  client_index_.states[pos] = kFull;
-  client_index_.sess[pos] = slot;
-  client_index_.gen[pos] = gen;
-  client_index_.client[pos] = id;
-  client_index_.value[pos] = value;
-  ++client_index_.count;
 }
 
 // --- directory API --------------------------------------------------------
 
 // tsn-lint: hotpath
 std::uint32_t SessionStore::lookup(std::uint32_t session_id) const noexcept {
-  return dir_find(shards_[shard_of(session_id)], session_id);
+  return shards_[shard_of(session_id)].dir.find(session_id);
 }
 
 SessionStore::LoginResult SessionStore::login(std::uint32_t session_id, std::uint64_t token) {
   Shard& shard = shards_[shard_of(session_id)];
-  const std::uint32_t existing = dir_find(shard, session_id);
+  const std::uint32_t existing = shard.dir.find(session_id);
   if (existing != kNullSlot) {
-    if (sess_token_[existing] != token) return {kNullSlot, LoginVerdict::kInUse};
+    if (sessions_[existing].token != token) return {kNullSlot, LoginVerdict::kInUse};
     return {existing, LoginVerdict::kMatch};
   }
-  const std::uint32_t slot = alloc_session();
-  sess_external_[slot] = session_id;
-  sess_token_[slot] = token;
-  sess_tx_seq_[slot] = 1;
-  sess_conn_[slot] = kNullSlot;
-  sess_flags_[slot] = kFlagLive;
-  sess_order_head_[slot] = kNullSlot;
-  sess_order_count_[slot] = 0;
-  sess_jr_head_[slot] = kNullSlot;
-  sess_jr_tail_[slot] = kNullSlot;
-  sess_jr_count_[slot] = 0;
-  sess_shard_[slot] = shard_of(session_id);
-  sess_prev_[slot] = kNullSlot;
-  sess_next_[slot] = kNullSlot;
-  dir_insert(shard, session_id, slot);
+  const std::uint32_t slot = take_row(sessions_, free_sess_);
+  SessionRow& row = sessions_[slot];
+  // A reused row keeps its generation: that is what retires the previous
+  // incarnation's client-id marks.
+  row = SessionRow{.token = token,
+                   .external = session_id,
+                   .gen = row.gen,
+                   .shard = shard_of(session_id),
+                   .flags = kFlagLive};
+  shard.dir.insert(session_id, slot);
   ++live_sessions_;
   ++stats_.sessions_created;
   return {slot, LoginVerdict::kNew};
@@ -373,13 +223,14 @@ SessionStore::LoginResult SessionStore::login(std::uint32_t session_id, std::uin
 
 // tsn-lint: hotpath
 void SessionStore::bind(std::uint32_t slot, std::uint32_t conn) noexcept {
-  if (sess_conn_[slot] != kNullSlot) unbind(slot);
-  sess_conn_[slot] = conn;
-  Shard& shard = shards_[sess_shard_[slot]];
-  sess_prev_[slot] = shard.tail;
-  sess_next_[slot] = kNullSlot;
+  if (sessions_[slot].conn != kNullSlot) unbind(slot);
+  SessionRow& row = sessions_[slot];
+  Shard& shard = shards_[row.shard];
+  row.conn = conn;
+  row.prev = shard.tail;
+  row.next = kNullSlot;
   if (shard.tail != kNullSlot) {
-    sess_next_[shard.tail] = slot;
+    sessions_[shard.tail].next = slot;
   } else {
     shard.head = slot;
   }
@@ -389,57 +240,49 @@ void SessionStore::bind(std::uint32_t slot, std::uint32_t conn) noexcept {
 
 // tsn-lint: hotpath
 void SessionStore::unbind(std::uint32_t slot) noexcept {
-  if (sess_conn_[slot] == kNullSlot) return;
-  sess_conn_[slot] = kNullSlot;
-  Shard& shard = shards_[sess_shard_[slot]];
-  const std::uint32_t prev = sess_prev_[slot];
-  const std::uint32_t next = sess_next_[slot];
-  if (prev != kNullSlot) {
-    sess_next_[prev] = next;
+  SessionRow& row = sessions_[slot];
+  if (row.conn == kNullSlot) return;
+  Shard& shard = shards_[row.shard];
+  if (row.prev != kNullSlot) {
+    sessions_[row.prev].next = row.next;
   } else {
-    shard.head = next;
+    shard.head = row.next;
   }
-  if (next != kNullSlot) {
-    sess_prev_[next] = prev;
+  if (row.next != kNullSlot) {
+    sessions_[row.next].prev = row.prev;
   } else {
-    shard.tail = prev;
+    shard.tail = row.prev;
   }
-  sess_prev_[slot] = kNullSlot;
-  sess_next_[slot] = kNullSlot;
+  row.conn = kNullSlot;
+  row.prev = kNullSlot;
+  row.next = kNullSlot;
   --shard.connected;
 }
 
 void SessionStore::destroy(std::uint32_t slot) {
   unbind(slot);
-  // Free the open-order chain (exchange-id entries included).
-  std::uint32_t order = sess_order_head_[slot];
-  while (order != kNullSlot) {
-    const std::uint32_t next = ord_next_[order];
-    exch_erase(ord_exch_[order]);
-    ord_next_[order] = free_ord_;
-    free_ord_ = order;
-    order = next;
-  }
-  sess_order_head_[slot] = kNullSlot;
-  sess_order_count_[slot] = 0;
   // Staged-but-unflushed records would otherwise commit into a freed chain.
   if (!staged_.empty()) journal_flush();
-  std::uint32_t rec = sess_jr_head_[slot];
-  while (rec != kNullSlot) {
-    const std::uint32_t next = jr_next_[rec];
-    jr_next_[rec] = free_jr_;
-    free_jr_ = rec;
+  SessionRow& row = sessions_[slot];
+  // Free the open-order chain (exchange-id entries included).
+  for (std::uint32_t order = row.order_head; order != kNullSlot;) {
+    const std::uint32_t next = orders_[order].next;
+    exch_index_.erase(orders_[order].exch);
+    free_row(orders_, free_ord_, order);
+    order = next;
+  }
+  for (std::uint32_t rec = row.jr_head; rec != kNullSlot;) {
+    const std::uint32_t next = records_[rec].next;
+    free_row(records_, free_jr_, rec);
     rec = next;
   }
-  sess_jr_head_[slot] = kNullSlot;
-  sess_jr_tail_[slot] = kNullSlot;
-  sess_jr_count_[slot] = 0;
+  row.order_head = row.jr_head = row.jr_tail = kNullSlot;
+  row.order_count = row.jr_count = 0;
   // Generation bump lazily invalidates this session's client-id marks.
-  ++sess_gen_[slot];
-  sess_flags_[slot] = 0;
-  dir_erase(shards_[sess_shard_[slot]], sess_external_[slot]);
-  sess_next_[slot] = free_sess_;
-  free_sess_ = slot;
+  ++row.gen;
+  row.flags = 0;
+  shards_[row.shard].dir.erase(row.external);
+  free_row(sessions_, free_sess_, slot);
   --live_sessions_;
   ++stats_.sessions_destroyed;
 }
@@ -456,7 +299,7 @@ void SessionStore::journal_stage(std::uint32_t slot, std::uint32_t seq,
   entry.len = static_cast<std::uint32_t>(bytes.size());
   staging_bytes_.insert(staging_bytes_.end(), bytes.begin(), bytes.end());
   staged_.push_back(entry);
-  ++sess_jr_count_[slot];
+  ++sessions_[slot].jr_count;
 }
 
 // tsn-lint: hotpath
@@ -465,17 +308,15 @@ void SessionStore::journal_flush() {
   const std::size_t base = arena_.size();
   arena_.insert(arena_.end(), staging_bytes_.begin(), staging_bytes_.end());
   for (const Staged& entry : staged_) {
-    const std::uint32_t rec = alloc_record();
-    jr_seq_[rec] = entry.seq;
-    jr_off_[rec] = base + entry.off;
-    jr_len_[rec] = entry.len;
-    jr_next_[rec] = kNullSlot;
-    if (sess_jr_tail_[entry.slot] != kNullSlot) {
-      jr_next_[sess_jr_tail_[entry.slot]] = rec;
+    const std::uint32_t rec = take_row(records_, free_jr_);
+    records_[rec] = JournalRecord{base + entry.off, entry.seq, entry.len, kNullSlot};
+    SessionRow& row = sessions_[entry.slot];
+    if (row.jr_tail != kNullSlot) {
+      records_[row.jr_tail].next = rec;
     } else {
-      sess_jr_head_[entry.slot] = rec;
+      row.jr_head = rec;
     }
-    sess_jr_tail_[entry.slot] = rec;
+    row.jr_tail = rec;
     ++stats_.journal_appends;
   }
   stats_.journal_bytes += staging_bytes_.size();
@@ -490,18 +331,15 @@ void SessionStore::journal_flush() {
 OrderVerdict SessionStore::register_order(std::uint32_t slot, proto::OrderId client_id,
                                           proto::OrderId exchange_id, std::uint16_t symbol_idx) {
   if (client_find(slot, client_id) != kNullSlot) return OrderVerdict::kDuplicateClientId;
-  const std::uint32_t order = alloc_order();
-  ord_client_[order] = client_id;
-  ord_exch_[order] = exchange_id;
-  ord_session_[order] = slot;
-  ord_symbol_[order] = symbol_idx;
-  ord_prev_[order] = kNullSlot;
-  ord_next_[order] = sess_order_head_[slot];
-  if (sess_order_head_[slot] != kNullSlot) ord_prev_[sess_order_head_[slot]] = order;
-  sess_order_head_[slot] = order;
-  ++sess_order_count_[slot];
-  client_insert(slot, client_id, order);
-  exch_insert(exchange_id, order);
+  const std::uint32_t order = take_row(orders_, free_ord_);
+  SessionRow& row = sessions_[slot];
+  orders_[order] = OrderRow{client_id, exchange_id, slot, kNullSlot, row.order_head, symbol_idx};
+  if (row.order_head != kNullSlot) orders_[row.order_head].prev = order;
+  row.order_head = order;
+  ++row.order_count;
+  if ((client_count_ + 1) * 10 >= client_index_.size() * 7) client_grow(client_index_.size() * 2);
+  client_insert(slot, row.gen, client_id, order);
+  exch_index_.insert(exchange_id, order);
   ++stats_.orders_registered;
   return OrderVerdict::kAccepted;
 }
@@ -515,44 +353,45 @@ bool SessionStore::client_id_used(std::uint32_t slot, proto::OrderId client_id) 
 std::uint32_t SessionStore::find_open(std::uint32_t slot, proto::OrderId client_id) const noexcept {
   const std::uint32_t pos = client_find(slot, client_id);
   if (pos == kNullSlot) return kNullSlot;
-  const std::uint32_t value = client_index_.value[pos];
+  const std::uint32_t value = client_index_[pos].value;
   return value == kClosedOrder ? kNullSlot : value;
 }
 
 // tsn-lint: hotpath
 std::uint32_t SessionStore::find_by_exchange(proto::OrderId exchange_id) const noexcept {
-  return exch_find(exchange_id);
+  return exch_index_.find(exchange_id);
 }
 
 // tsn-lint: hotpath
 void SessionStore::unlink_order(std::uint32_t order_slot) noexcept {
-  const std::uint32_t prev = ord_prev_[order_slot];
-  const std::uint32_t next = ord_next_[order_slot];
-  if (prev != kNullSlot) {
-    ord_next_[prev] = next;
+  const OrderRow& o = orders_[order_slot];
+  SessionRow& row = sessions_[o.session];
+  if (o.prev != kNullSlot) {
+    orders_[o.prev].next = o.next;
   } else {
-    sess_order_head_[ord_session_[order_slot]] = next;
+    row.order_head = o.next;
   }
-  if (next != kNullSlot) ord_prev_[next] = prev;
-  --sess_order_count_[ord_session_[order_slot]];
+  if (o.next != kNullSlot) orders_[o.next].prev = o.prev;
+  --row.order_count;
 }
 
 // tsn-lint: hotpath
 void SessionStore::close_order(std::uint32_t order_slot) {
-  const std::uint32_t slot = ord_session_[order_slot];
-  client_set(slot, ord_client_[order_slot], kClosedOrder);
-  exch_erase(ord_exch_[order_slot]);
+  const OrderRow& o = orders_[order_slot];
+  const std::uint32_t pos = client_find(o.session, o.client);
+  TSN_DCHECK(pos != kNullSlot, "directory entry vanished");
+  client_index_[pos].value = kClosedOrder;
+  exch_index_.erase(o.exch);
   unlink_order(order_slot);
-  ord_next_[order_slot] = free_ord_;
-  free_ord_ = order_slot;
+  free_row(orders_, free_ord_, order_slot);
 }
 
 void SessionStore::collect_open_client_ids(std::uint32_t slot,
                                            std::vector<proto::OrderId>& out) const {
   out.clear();
-  for (std::uint32_t order = sess_order_head_[slot]; order != kNullSlot;
-       order = ord_next_[order]) {
-    out.push_back(ord_client_[order]);
+  for (std::uint32_t order = sessions_[slot].order_head; order != kNullSlot;
+       order = orders_[order].next) {
+    out.push_back(orders_[order].client);
   }
   std::sort(out.begin(), out.end());
 }
@@ -568,15 +407,15 @@ std::uint64_t SessionStore::state_digest() const noexcept {
     }
   };
   fold(live_sessions_);
-  for (std::uint32_t slot = 0; slot < sess_external_.size(); ++slot) {
-    if ((sess_flags_[slot] & kFlagLive) == 0) continue;
-    fold(sess_external_[slot]);
-    fold(sess_token_[slot]);
-    fold(sess_gen_[slot]);
-    fold(sess_tx_seq_[slot]);
-    fold((sess_flags_[slot] & kFlagLoggedIn) != 0 ? 1 : 0);
-    fold(sess_order_count_[slot]);
-    fold(sess_jr_count_[slot]);
+  for (const SessionRow& row : sessions_) {
+    if ((row.flags & kFlagLive) == 0) continue;
+    fold(row.external);
+    fold(row.token);
+    fold(row.gen);
+    fold(row.tx_seq);
+    fold((row.flags & kFlagLoggedIn) != 0 ? 1 : 0);
+    fold(row.order_count);
+    fold(row.jr_count);
   }
   return h;
 }

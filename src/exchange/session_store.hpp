@@ -1,18 +1,19 @@
 // Pooled, sharded session/order/journal state for a million-session
-// exchange front end (ROADMAP item 2).
+// exchange front end (ROADMAP item 2): the 10^5–10^6 concurrent gateway
+// sessions the paper's Design 2/3 fan-in assumes. State lives in slab rows
+// addressed by u32 slot, with LIFO freelist reuse:
 //
-// PR 5 kept one heap object per session (journal vector, per-session
-// unordered maps); fine for a handful of resilient sessions, hopeless for
-// the 10^5–10^6 concurrent gateway sessions the paper's Design 2/3 fan-in
-// assumes. This store rewrites that state as slab-allocated, cache-line-
-// aligned SoA columns with freelist reuse — the same recipe as
-// `book/order_book.*`:
+//   session row    one 64-byte line: token | external id | gen | tx_seq |
+//                  conn | order head/count | journal head/tail/count |
+//                  shard | prev | next | flags
+//   order row      client id | exchange id | session | prev | next | symbol
+//   journal record offset | seq | length | next   (+ one shared byte arena)
 //
-//   session slab   external id | token | gen | tx_seq | conn | flags |
-//                  order chain head/count | journal chain head/tail/count |
-//                  shard | prev | next
-//   order slab     client id | exchange id | session | symbol | prev | next
-//   journal slab   seq | offset | length | next        (+ one shared byte arena)
+// Rows, not columns: every access reads one whole row, and a find takes ~1
+// probe of one entry struct, so each touches one cache line. Slabs are
+// touched on first use: `reserve()` only reserves their capacity, and a row
+// is built when first handed out (freed rows first, LIFO, then fresh rows
+// ascending), so slots come out the same whether or not it was reserved.
 //
 // The session directory is sharded: session ids hash to one of S shards,
 // each with its own open-addressing index and an intrusive bind-ordered
@@ -78,9 +79,10 @@ class SessionStore {
 
   explicit SessionStore(SessionStoreConfig config = {});
 
-  // Pre-sizes every slab, index, the staging ring and the journal arena so
-  // the first `sessions` sessions with `orders` concurrently open orders
-  // and `journal_bytes` of journaled traffic never grow mid-update.
+  // Reserves slab capacity and sizes (zero-fills) every index, the staging
+  // ring and the journal arena, so the first `sessions` sessions with
+  // `orders` concurrently open orders and `journal_bytes` of journaled
+  // traffic never grow mid-update. Slab rows are not touched here.
   void reserve(std::size_t sessions, std::size_t orders, std::size_t journal_bytes);
 
   // --- directory -------------------------------------------------------
@@ -116,7 +118,7 @@ class SessionStore {
   // bind/unbind/destroy (the sweep caller collects first, then acts).
   template <typename Fn>
   void for_each_connected(std::uint32_t shard, Fn&& fn) const {
-    for (std::uint32_t s = shards_[shard].head; s != kNullSlot; s = sess_next_[s]) fn(s);
+    for (std::uint32_t s = shards_[shard].head; s != kNullSlot; s = sessions_[s].next) fn(s);
   }
   [[nodiscard]] std::size_t connected_count(std::uint32_t shard) const noexcept {
     return shards_[shard].connected;
@@ -124,44 +126,46 @@ class SessionStore {
 
   // --- session row accessors -------------------------------------------
   [[nodiscard]] std::uint32_t session_id(std::uint32_t slot) const noexcept {
-    return sess_external_[slot];
+    return sessions_[slot].external;
   }
   [[nodiscard]] std::uint64_t token(std::uint32_t slot) const noexcept {
-    return sess_token_[slot];
+    return sessions_[slot].token;
   }
-  [[nodiscard]] std::uint32_t conn(std::uint32_t slot) const noexcept { return sess_conn_[slot]; }
+  [[nodiscard]] std::uint32_t conn(std::uint32_t slot) const noexcept {
+    return sessions_[slot].conn;
+  }
   [[nodiscard]] bool logged_in(std::uint32_t slot) const noexcept {
-    return (sess_flags_[slot] & kFlagLoggedIn) != 0;
+    return (sessions_[slot].flags & kFlagLoggedIn) != 0;
   }
   void set_logged_in(std::uint32_t slot, bool logged_in) noexcept {
     if (logged_in) {
-      sess_flags_[slot] |= kFlagLoggedIn;
+      sessions_[slot].flags |= kFlagLoggedIn;
     } else {
-      sess_flags_[slot] &= static_cast<std::uint8_t>(~kFlagLoggedIn);
+      sessions_[slot].flags &= static_cast<std::uint8_t>(~kFlagLoggedIn);
     }
   }
   // Consumes and returns the next sequenced-application sequence number.
   [[nodiscard]] std::uint32_t next_seq(std::uint32_t slot) noexcept {
-    return sess_tx_seq_[slot]++;
+    return sessions_[slot].tx_seq++;
   }
   [[nodiscard]] std::uint32_t tx_seq(std::uint32_t slot) const noexcept {
-    return sess_tx_seq_[slot];
+    return sessions_[slot].tx_seq;
   }
   [[nodiscard]] std::size_t session_count() const noexcept { return live_sessions_; }
   [[nodiscard]] std::uint32_t generation(std::uint32_t slot) const noexcept {
-    return sess_gen_[slot];
+    return sessions_[slot].gen;
   }
   // Test-only: parks the generation counter so the wraparound suite can
   // drive it across 0xffffffff without performing four billion destroys.
   // Never call on a session with live client-id marks — existing marks keep
   // their old generation and would resurrect if the counter revisits it.
   void debug_set_generation(std::uint32_t slot, std::uint32_t gen) noexcept {
-    sess_gen_[slot] = gen;
+    sessions_[slot].gen = gen;
   }
   // Test-only: exchange-index table capacity, so the churn suite can assert
   // the tombstone-compacting rehash keeps it bounded.
   [[nodiscard]] std::size_t debug_exchange_index_capacity() const noexcept {
-    return exch_index_.keys.size();
+    return exch_index_.entries.size();
   }
 
   // Order-independent? No — deliberately order-DEPENDENT: a 64-bit FNV-1a
@@ -189,14 +193,15 @@ class SessionStore {
   template <typename Fn>
   void replay(std::uint32_t slot, std::uint32_t last_seen, Fn&& fn) {
     if (!staged_.empty()) journal_flush();
-    for (std::uint32_t r = sess_jr_head_[slot]; r != kNullSlot; r = jr_next_[r]) {
-      if (jr_seq_[r] > last_seen) {
-        fn(jr_seq_[r], std::span<const std::byte>{arena_.data() + jr_off_[r], jr_len_[r]});
+    for (std::uint32_t r = sessions_[slot].jr_head; r != kNullSlot; r = records_[r].next) {
+      const JournalRecord& rec = records_[r];
+      if (rec.seq > last_seen) {
+        fn(rec.seq, std::span<const std::byte>{arena_.data() + rec.off, rec.len});
       }
     }
   }
   [[nodiscard]] std::uint32_t journal_entries(std::uint32_t slot) const noexcept {
-    return sess_jr_count_[slot];  // committed + staged
+    return sessions_[slot].jr_count;  // committed + staged
   }
 
   // --- open orders / client-id dedupe ----------------------------------
@@ -216,19 +221,19 @@ class SessionStore {
   void close_order(std::uint32_t order_slot);
 
   [[nodiscard]] proto::OrderId order_client_id(std::uint32_t order_slot) const noexcept {
-    return ord_client_[order_slot];
+    return orders_[order_slot].client;
   }
   [[nodiscard]] proto::OrderId order_exchange_id(std::uint32_t order_slot) const noexcept {
-    return ord_exch_[order_slot];
+    return orders_[order_slot].exch;
   }
   [[nodiscard]] std::uint32_t order_session(std::uint32_t order_slot) const noexcept {
-    return ord_session_[order_slot];
+    return orders_[order_slot].session;
   }
   [[nodiscard]] std::uint16_t order_symbol(std::uint32_t order_slot) const noexcept {
-    return ord_symbol_[order_slot];
+    return orders_[order_slot].symbol;
   }
   [[nodiscard]] std::uint32_t open_order_count(std::uint32_t slot) const noexcept {
-    return sess_order_count_[slot];
+    return sessions_[slot].order_count;
   }
   [[nodiscard]] std::size_t open_orders_total() const noexcept { return exch_index_.count; }
   // Fills `out` (cleared first) with the session's open client order ids,
@@ -245,7 +250,7 @@ class SessionStore {
   // Client-index value for a terminal order: the id stays used forever.
   static constexpr std::uint32_t kClosedOrder = 0xfffffffeu;
 
-  // 32-bit avalanche (Murmur3 finalizer): shard choice and directory probes.
+  // 32-bit avalanche (Murmur3 finalizer): shard choice only.
   [[nodiscard]] static std::uint32_t mix32(std::uint32_t x) noexcept {
     x ^= x >> 16;
     x *= 0x85ebca6bu;
@@ -254,58 +259,82 @@ class SessionStore {
     x ^= x >> 16;
     return x;
   }
-  [[nodiscard]] static std::uint64_t mix64(std::uint64_t x) noexcept {
-    x ^= x >> 33;
-    x *= 0xff51afd7ed558ccdULL;
-    x ^= x >> 33;
-    x *= 0xc4ceb9fe1a85ec53ULL;
-    x ^= x >> 33;
-    return x;
-  }
-  // Avalanche the id BEFORE folding in (slot, gen): clients commonly derive
-  // ids from their session number (e.g. session<<32 | seq), and slots are
-  // handed out in login order, so a plain xor of the raw parts cancels to a
-  // handful of distinct pre-mix keys across the whole population — every
-  // session then probes the same chain. mix64 is bijective, so mixing first
-  // keeps distinct ids distinct no matter how structured they are.
-  [[nodiscard]] static std::uint64_t client_key_hash(std::uint32_t slot, std::uint32_t gen,
-                                                    proto::OrderId client_id) noexcept {
-    return mix64(mix64(client_id) +
-                 ((static_cast<std::uint64_t>(gen) << 32) | slot) * 0x9e3779b97f4a7c15ULL);
-  }
-
-  // Open-addressing session-id -> slot map, one per shard (linear probing,
-  // tombstones, power-of-two capacity; never iterated).
-  struct Shard {
-    Column<std::uint32_t> keys;
-    Column<std::uint32_t> slots;
-    Column<std::uint8_t> states;  // 0 empty, 1 full, 2 tombstone
+  // Open-addressing key -> slot map: linear probing, tombstones,
+  // power-of-two capacity, one entry struct per bucket; never iterated.
+  template <typename Key>
+  struct SlotIndex {
+    struct Entry {
+      Key key = 0;
+      std::uint32_t slot = 0;
+      std::uint8_t state = 0;  // 0 empty, 1 full, 2 tombstone
+    };
+    Column<Entry> entries;
     std::size_t count = 0;
     std::size_t occupied = 0;
-    // Intrusive bind-ordered list of connected sessions.
+
+    [[nodiscard]] std::uint32_t find(Key key) const noexcept;
+    void insert(Key key, std::uint32_t slot);
+    void erase(Key key) noexcept;
+    void grow(std::size_t min_capacity);
+  };
+  static_assert(sizeof(SlotIndex<std::uint32_t>::Entry) == 12);
+  static_assert(sizeof(SlotIndex<proto::OrderId>::Entry) == 16);
+
+  // One shard of the session directory: session id -> slot, plus the
+  // intrusive bind-ordered list of its connected sessions.
+  struct Shard {
+    SlotIndex<std::uint32_t> dir;
     std::uint32_t head = kNullSlot;
     std::uint32_t tail = kNullSlot;
     std::size_t connected = 0;
   };
 
-  // Exchange-order-id -> order-slot map (global, tombstoned).
-  struct ExchIndex {
-    Column<proto::OrderId> keys;
-    Column<std::uint32_t> slots;
-    Column<std::uint8_t> states;
-    std::size_t count = 0;
-    std::size_t occupied = 0;
-  };
-
   // (session slot, generation, client id) -> live order slot or kClosedOrder.
-  struct ClientIndex {
-    Column<std::uint32_t> sess;
-    Column<std::uint32_t> gen;
-    Column<proto::OrderId> client;
-    Column<std::uint32_t> value;
-    Column<std::uint8_t> states;  // 0 empty, 1 full (no erase; stale gens dropped at rehash)
-    std::size_t count = 0;
+  // No erase: stale generations are dropped at rehash.
+  struct ClientEntry {
+    proto::OrderId client = 0;
+    std::uint32_t sess = 0;
+    std::uint32_t gen = 0;
+    std::uint32_t value = 0;
+    std::uint8_t state = 0;  // 0 empty, 1 full
   };
+  static_assert(sizeof(ClientEntry) == 24);
+
+  // Slab rows. A fresh row is value-initialised when first handed out; a
+  // reused one keeps only its generation. `next` doubles as the freelist link.
+  struct alignas(64) SessionRow {
+    std::uint64_t token = 0;
+    std::uint32_t external = 0;
+    std::uint32_t gen = 0;
+    std::uint32_t tx_seq = 1;
+    std::uint32_t conn = kNullSlot;
+    std::uint32_t order_head = kNullSlot;
+    std::uint32_t order_count = 0;
+    std::uint32_t jr_head = kNullSlot;
+    std::uint32_t jr_tail = kNullSlot;
+    std::uint32_t jr_count = 0;
+    std::uint32_t shard = 0;
+    std::uint32_t prev = kNullSlot;  // connected-list link
+    std::uint32_t next = kNullSlot;  // connected-list link / freelist link
+    std::uint8_t flags = 0;
+  };
+  struct OrderRow {
+    proto::OrderId client = 0;
+    proto::OrderId exch = 0;
+    std::uint32_t session = 0;
+    std::uint32_t prev = kNullSlot;
+    std::uint32_t next = kNullSlot;  // session chain / freelist link
+    std::uint16_t symbol = 0;
+  };
+  struct JournalRecord {
+    std::uint64_t off = 0;  // into arena_
+    std::uint32_t seq = 0;
+    std::uint32_t len = 0;
+    std::uint32_t next = kNullSlot;  // session chain / freelist link
+  };
+  static_assert(sizeof(SessionRow) == 64);
+  static_assert(sizeof(OrderRow) <= 32);
+  static_assert(sizeof(JournalRecord) <= 24);
 
   struct Staged {
     std::uint32_t slot = 0;
@@ -314,28 +343,9 @@ class SessionStore {
     std::uint32_t len = 0;
   };
 
-  std::uint32_t alloc_session();
-  std::uint32_t alloc_order();
-  std::uint32_t alloc_record();
-  void grow_sessions(std::size_t new_capacity);
-  void grow_orders(std::size_t new_capacity);
-  void grow_records(std::size_t new_capacity);
-
-  [[nodiscard]] std::uint32_t dir_find(const Shard& shard, std::uint32_t session_id) const noexcept;
-  void dir_insert(Shard& shard, std::uint32_t session_id, std::uint32_t slot);
-  void dir_erase(Shard& shard, std::uint32_t session_id) noexcept;
-  void dir_grow(Shard& shard, std::size_t min_capacity);
-
-  [[nodiscard]] std::uint32_t exch_find(proto::OrderId id) const noexcept;
-  void exch_insert(proto::OrderId id, std::uint32_t slot);
-  void exch_erase(proto::OrderId id) noexcept;
-  void exch_grow(std::size_t min_capacity);
-
   [[nodiscard]] std::uint32_t client_find(std::uint32_t slot, proto::OrderId id) const noexcept;
-  void client_insert(std::uint32_t slot, proto::OrderId id, std::uint32_t value);
-  void client_insert_raw(std::uint32_t slot, std::uint32_t gen, proto::OrderId id,
-                         std::uint32_t value);
-  void client_set(std::uint32_t slot, proto::OrderId id, std::uint32_t value) noexcept;
+  void client_insert(std::uint32_t slot, std::uint32_t gen, proto::OrderId id,
+                     std::uint32_t value);
   void client_grow(std::size_t min_capacity);
 
   void unlink_order(std::uint32_t order_slot) noexcept;
@@ -343,45 +353,22 @@ class SessionStore {
   std::uint32_t shard_mask_ = 0;
   std::vector<Shard> shards_;
 
-  // Session slab (parallel columns; slot = row).
-  Column<std::uint32_t> sess_external_;
-  Column<std::uint64_t> sess_token_;
-  Column<std::uint32_t> sess_gen_;
-  Column<std::uint32_t> sess_tx_seq_;
-  Column<std::uint32_t> sess_conn_;
-  Column<std::uint8_t> sess_flags_;
-  Column<std::uint32_t> sess_order_head_;
-  Column<std::uint32_t> sess_order_count_;
-  Column<std::uint32_t> sess_jr_head_;
-  Column<std::uint32_t> sess_jr_tail_;
-  Column<std::uint32_t> sess_jr_count_;
-  Column<std::uint32_t> sess_shard_;
-  Column<std::uint32_t> sess_prev_;  // connected-list link
-  Column<std::uint32_t> sess_next_;  // connected-list link / freelist link
+  Column<SessionRow> sessions_;
   std::uint32_t free_sess_ = kNullSlot;
   std::size_t live_sessions_ = 0;
-
-  // Order slab.
-  Column<proto::OrderId> ord_client_;
-  Column<proto::OrderId> ord_exch_;
-  Column<std::uint32_t> ord_session_;
-  Column<std::uint16_t> ord_symbol_;
-  Column<std::uint32_t> ord_prev_;
-  Column<std::uint32_t> ord_next_;  // session chain / freelist link
+  Column<OrderRow> orders_;
   std::uint32_t free_ord_ = kNullSlot;
 
   // Journal record slab + shared byte arena + staging ring.
-  Column<std::uint32_t> jr_seq_;
-  Column<std::uint64_t> jr_off_;
-  Column<std::uint32_t> jr_len_;
-  Column<std::uint32_t> jr_next_;
+  Column<JournalRecord> records_;
   std::uint32_t free_jr_ = kNullSlot;
   std::vector<std::byte> arena_;
   std::vector<Staged> staged_;
   std::vector<std::byte> staging_bytes_;
 
-  ExchIndex exch_index_;
-  ClientIndex client_index_;
+  SlotIndex<proto::OrderId> exch_index_;  // exchange order id -> order slot (global)
+  Column<ClientEntry> client_index_;
+  std::size_t client_count_ = 0;
 
   SessionStoreStats stats_;
 };

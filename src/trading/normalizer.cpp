@@ -136,7 +136,7 @@ void Normalizer::on_snapshot_datagram(std::span<const std::byte> payload) {
     const DecodedKind kind = snap.kind[row];
     if (kind == DecodedKind::kSnapshotBegin) {
       // A fresh cycle: rebuild from scratch.
-      purge_unit_state(unit);
+      purge_unit_state(unit, recovery);
       recovery.snapshot_active = true;
       recovery.resume_sequence = snap.u32a[row];
       continue;
@@ -146,10 +146,12 @@ void Normalizer::on_snapshot_datagram(std::span<const std::byte> payload) {
       (void)mirror(snap, row);
       ++stats_.snapshot_orders_applied;
     } else if (kind == DecodedKind::kSnapshotEnd) {
-      // Snapshot complete: re-decode the buffered live tail and replay the
-      // rows past the resume point, then return to normal processing.
+      // Snapshot complete: publish the rebuilt tops, re-decode the buffered
+      // live tail and replay the rows past the resume point, then return to
+      // normal processing.
       recovery.snapshot_active = false;
       recovery.recovering = false;
+      publish_rebuilt_tops(unit, recovery);
       for (const BufferedDatagram& datagram : recovery.buffered) {
         (void)proto::pitch::decode_batch(datagram.bytes, batch_);
         const std::size_t rows = std::min(batch_.count, datagram.rows);
@@ -167,14 +169,46 @@ void Normalizer::on_snapshot_datagram(std::span<const std::byte> payload) {
   }
 }
 
-void Normalizer::purge_unit_state(std::uint8_t unit) {
-  const auto& scheme = *config_.exchange_partitioning;
-  const auto in_unit = [&](const proto::Symbol& symbol) {
-    return scheme.partition_of(symbol, proto::InstrumentKind::kEquity) == unit;
-  };
+bool Normalizer::in_unit(const proto::Symbol& symbol, std::uint8_t unit) const {
+  return config_.exchange_partitioning->partition_of(symbol, proto::InstrumentKind::kEquity) ==
+         unit;
+}
+
+void Normalizer::purge_unit_state(std::uint8_t unit, Recovery& recovery) {
+  // The first purge of a recovery keeps the tops subscribers last saw (no
+  // book of the unit has moved since the gap): the rebuilt tops are
+  // published against them.
+  if (!recovery.tops_saved) {
+    recovery.tops_saved = true;
+    // tsn-lint: allow(unordered-iter) order-independent: sorted before publishing
+    for (const auto& [symbol, book] : books_) {
+      if (in_unit(symbol, unit)) recovery.published_tops.emplace_back(symbol, book->best());
+    }
+  }
   // Filtered erases: the surviving set does not depend on hash order.
-  std::erase_if(order_books_, [&](const auto& entry) { return in_unit(entry.second->symbol()); });
-  std::erase_if(books_, [&](const auto& entry) { return in_unit(entry.first); });
+  std::erase_if(order_books_,
+                [&](const auto& entry) { return in_unit(entry.second->symbol(), unit); });
+  std::erase_if(books_, [&](const auto& entry) { return in_unit(entry.first, unit); });
+}
+
+void Normalizer::publish_rebuilt_tops(std::uint8_t unit, Recovery& recovery) {
+  auto& tops = recovery.published_tops;
+  const std::size_t saved = tops.size();
+  // tsn-lint: allow(unordered-iter) order-independent: sorted before publishing
+  for (const auto& [symbol, book] : books_) {
+    const auto seen = [&](const auto& top) { return top.first == symbol; };
+    if (in_unit(symbol, unit) && std::none_of(tops.begin(), tops.begin() + saved, seen)) {
+      tops.emplace_back(symbol, book::BestQuote{});  // new since the gap
+    }
+  }
+  std::sort(tops.begin(), tops.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  // A symbol the snapshot left empty gets an empty book, so its emptied
+  // sides are published too.
+  const std::uint64_t now_ns = std::uint64_t{clock_seconds_} * 1'000'000'000ULL;
+  for (const auto& [symbol, before] : tops) emit_bbo(book_for(symbol), before, now_ns);
+  tops.clear();
+  recovery.tops_saved = false;
 }
 
 book::OrderBook& Normalizer::book_for(const proto::Symbol& symbol) {

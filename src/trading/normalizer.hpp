@@ -18,6 +18,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "book/order_book.hpp"
@@ -135,7 +136,12 @@ class Normalizer {
   // per side of `book` whose best price or depth moved since `before`.
   void emit_bbo(const book::OrderBook& book, const book::BestQuote& before,
                 std::uint64_t exchange_time_ns);
-  void purge_unit_state(std::uint8_t unit);
+  struct Recovery;
+  [[nodiscard]] bool in_unit(const proto::Symbol& symbol, std::uint8_t unit) const;
+  void purge_unit_state(std::uint8_t unit, Recovery& recovery);
+  // On SnapshotEnd: one BBO update per side of each of the unit's symbols
+  // whose rebuilt top differs from the one published before the gap.
+  void publish_rebuilt_tops(std::uint8_t unit, Recovery& recovery);
   [[nodiscard]] bool recovery_enabled() const noexcept {
     return !config_.snapshot_groups.empty();
   }
@@ -178,6 +184,9 @@ class Normalizer {
     std::uint32_t resume_sequence = 0;
     std::size_t buffered_messages = 0;
     std::vector<BufferedDatagram> buffered;
+    // The unit's tops as last published, saved at the first purge.
+    bool tops_saved = false;
+    std::vector<std::pair<proto::Symbol, book::BestQuote>> published_tops;
   };
   std::unordered_map<std::uint8_t, Recovery> recovery_;
   static constexpr std::size_t kRecoveryBufferLimit = 100'000;  // messages

@@ -345,6 +345,56 @@ TEST(HotPathAlloc, WarmSessionStoreCycleIsAllocationFree) {
   EXPECT_EQ(store.session_count(), kPop);
 }
 
+TEST(HotPathAlloc, ReservedSessionStoreFirstUseIsAllocationFree) {
+  // reserve() reserves the slabs' capacity but builds no row: a row is
+  // constructed the first time it is handed out. That first use must fit in
+  // the reserved capacity, so with no warm-up at all, the first logins,
+  // binds, order register/close, journal stage/flush, replay and a
+  // destroy + re-login stay off the heap while within the reserved budget.
+  exchange::SessionStore store{exchange::SessionStoreConfig{.shards = 16}};
+  store.reserve(1'024, 8'192, std::size_t{1} << 20);
+
+  constexpr std::uint32_t kPop = 512;
+  constexpr std::uint32_t kBase = 8'000'000;
+  std::vector<std::uint32_t> slots(kPop, 0);
+  std::array<std::byte, 24> payload{};
+  payload.fill(std::byte{0x3c});
+  std::uint64_t replayed = 0;
+  const auto count_replayed = [&replayed](std::uint32_t, std::span<const std::byte>) {
+    ++replayed;
+  };
+
+  const std::uint64_t before = allocations();
+  for (std::uint32_t s = 0; s < kPop; ++s) {
+    const auto result = store.login(kBase + s, 0xbeefULL + s);
+    ASSERT_EQ(result.verdict, exchange::LoginVerdict::kNew);
+    slots[s] = result.slot;
+    store.bind(result.slot, s);
+  }
+  proto::OrderId next_id = 1;
+  for (int round = 0; round < 4; ++round) {
+    for (std::uint32_t s = 0; s < kPop; ++s) {
+      // Two fresh orders per session per round; the older one closes.
+      for (int k = 0; k < 2; ++k) {
+        ASSERT_EQ(store.register_order(slots[s], next_id, next_id, 0),
+                  exchange::OrderVerdict::kAccepted);
+        ++next_id;
+      }
+      store.close_order(store.find_open(slots[s], next_id - 2));
+      store.journal_stage(slots[s], store.next_seq(slots[s]), payload);
+    }
+    store.journal_flush();
+    store.replay(slots[round], 0, count_replayed);
+    store.unbind(slots[round]);
+  }
+  store.destroy(slots[0]);
+  ASSERT_EQ(store.login(kBase, 0xbeefULL).slot, slots[0]);
+  EXPECT_EQ(allocations() - before, 0u)
+      << "first use of a reserved session store must not touch the heap";
+  EXPECT_EQ(replayed, 1u + 2u + 3u + 4u);  // session r holds r + 1 records at round r
+  EXPECT_EQ(store.open_orders_total(), (kPop - 1) * 4u);
+}
+
 TEST(HotPathAlloc, WarmBatchDecodeIsAllocationFree) {
   // decode_batch into a reused DecodedBatch: columns keep their capacity, so
   // a warm decode of the same-shaped datagram is pure loads and stores.

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <span>
+#include <utility>
 
 #include "exchange/activity.hpp"
 #include "exchange/exchange.hpp"
@@ -64,6 +66,10 @@ struct PinOutcome {
   std::uint64_t frames = 0;
   bool crossed_seen = false;
   NormalizerStats stats;
+  // Per symbol: the last BBO published on the NORM feed (bid, ask; 0 = an
+  // empty side) and the normalizer's final reconstructed BBO.
+  std::map<proto::Symbol, std::pair<proto::Price, proto::Price>> last_published;
+  std::map<proto::Symbol, std::pair<proto::Price, proto::Price>> final_best;
 };
 
 PinOutcome run_pin(std::uint64_t drop_every, bool with_snapshots) {
@@ -123,6 +129,11 @@ PinOutcome run_pin(std::uint64_t drop_every, bool with_snapshots) {
     if (!decoded || !decoded->is_udp()) return;
     fnv.bytes(decoded->payload);
     ++out.frames;
+    (void)proto::norm::for_each_update(decoded->payload, [&](const proto::norm::Update& u) {
+      if (u.kind != proto::norm::UpdateKind::kBboUpdate) return;
+      auto& last = out.last_published[u.symbol];
+      (u.side == proto::Side::kBuy ? last.first : last.second) = u.price;
+    });
   });
   normalizer.join_feeds();
   engine.run_until(engine.now() + sim::millis(std::int64_t{1}));
@@ -147,6 +158,7 @@ PinOutcome run_pin(std::uint64_t drop_every, bool with_snapshots) {
     fnv.u64(bbo.has_value() ? 1 : 0);
     fnv.u64(bbo ? static_cast<std::uint64_t>(bbo->bid) : 0);
     fnv.u64(bbo ? static_cast<std::uint64_t>(bbo->ask) : 0);
+    if (bbo) out.final_best[spec.symbol] = {bbo->bid, bbo->ask};
   }
   const NormalizerStats& s = normalizer.stats();
   for (const std::uint64_t v :
@@ -185,7 +197,17 @@ TEST(NormalizerPin, LossWithSnapshotRecovery) {
   EXPECT_GT(out.stats.resyncs_completed, 0u);
   EXPECT_GT(out.stats.snapshot_orders_applied, 0u);
   EXPECT_GT(out.stats.messages_replayed_after_recovery, 0u);
-  EXPECT_EQ(out.digest, 0xa10e9b4794dfb6e5ULL) << std::hex << out.digest;
+  EXPECT_EQ(out.digest, 0x511c4535a786b7ffULL) << std::hex << out.digest;
+}
+
+// A completed resync publishes the rebuilt top of every symbol of the unit,
+// so subscribers end the run on the normalizer's own book, not on the top
+// from before the gap.
+TEST(NormalizerPin, ResyncPublishesRebuiltTop) {
+  const PinOutcome out = run_pin(/*drop_every=*/31, /*with_snapshots=*/true);
+  ASSERT_GT(out.stats.resyncs_completed, 0u);
+  ASSERT_EQ(out.final_best.size(), 4u);
+  EXPECT_EQ(out.last_published, out.final_best);
 }
 
 }  // namespace

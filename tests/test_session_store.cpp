@@ -317,6 +317,135 @@ TEST(SessionStoreExchangeIndex, TombstoneChurnCompactsAndStaysCorrect) {
   EXPECT_LE(capacity_hwm, 64u);
 }
 
+// Slot hand-out does not depend on reserve(): reserve only reserves slab
+// capacity, and rows come from the freelist (LIFO) before fresh rows
+// (ascending) either way. The same seeded op soup on a reserved store and an
+// unreserved one must return the same slot at every step, the same open ids,
+// the same lookups and the same digest. The population outgrows the reserved
+// budget, so growth past reserve() is covered too.
+class SessionStoreReserveTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SessionStoreReserveTest, SlotOrderIndependentOfReserve) {
+  sim::Rng rng(GetParam());
+  SessionStore reserved(SessionStoreConfig{.shards = 4});
+  reserved.reserve(32, 64, 1 << 12);
+  SessionStore grown(SessionStoreConfig{.shards = 4});
+  proto::OrderId next_client = 1;
+  proto::OrderId next_exchange = 1;
+  std::uint32_t next_conn = 1;
+  std::vector<proto::OrderId> ids_reserved;
+  std::vector<proto::OrderId> ids_grown;
+  const std::byte payload[4] = {std::byte{1}, std::byte{2}, std::byte{3}, std::byte{4}};
+
+  // The session slot of a random external id, equal in both stores.
+  const auto pick = [&]() -> std::uint32_t {
+    const std::uint32_t ext = kIdBase + static_cast<std::uint32_t>(rng.next_below(80));
+    const std::uint32_t slot = reserved.lookup(ext);
+    EXPECT_EQ(slot, grown.lookup(ext));
+    return slot;
+  };
+
+  for (int op = 0; op < 4000; ++op) {
+    const std::uint64_t kind = rng.next_below(100);
+    if (kind < 20) {  // login: fresh, resume or wrong token
+      const std::uint32_t ext = kIdBase + static_cast<std::uint32_t>(rng.next_below(80));
+      const std::uint64_t token = rng.bernoulli(0.1) ? 7 : ext;
+      const auto a = reserved.login(ext, token);
+      const auto b = grown.login(ext, token);
+      ASSERT_EQ(a.slot, b.slot);
+      ASSERT_EQ(a.verdict, b.verdict);
+      continue;
+    }
+    const std::uint32_t slot = pick();
+    if (slot == SessionStore::kNullSlot) continue;
+    if (kind < 40) {  // register, sometimes reusing an id
+      const proto::OrderId cid =
+          rng.bernoulli(0.2) ? 1 + rng.next_below(next_client) : next_client++;
+      const proto::OrderId eid = next_exchange++;
+      ASSERT_EQ(reserved.register_order(slot, cid, eid, 3),
+                grown.register_order(slot, cid, eid, 3));
+      ASSERT_EQ(reserved.find_by_exchange(eid), grown.find_by_exchange(eid));
+    } else if (kind < 55) {  // close by client id
+      const proto::OrderId cid = 1 + rng.next_below(next_client);
+      const std::uint32_t order = reserved.find_open(slot, cid);
+      ASSERT_EQ(order, grown.find_open(slot, cid));
+      if (order != SessionStore::kNullSlot) {
+        reserved.close_order(order);
+        grown.close_order(order);
+      }
+    } else if (kind < 65) {  // close by exchange id
+      const proto::OrderId eid = 1 + rng.next_below(next_exchange);
+      const std::uint32_t order = reserved.find_by_exchange(eid);
+      ASSERT_EQ(order, grown.find_by_exchange(eid));
+      if (order != SessionStore::kNullSlot) {
+        reserved.close_order(order);
+        grown.close_order(order);
+      }
+    } else if (kind < 80) {  // journal, flushing now and then
+      reserved.journal_stage(slot, reserved.next_seq(slot), payload);
+      grown.journal_stage(slot, grown.next_seq(slot), payload);
+      if (rng.bernoulli(0.3)) {
+        reserved.journal_flush();
+        grown.journal_flush();
+      }
+    } else if (kind < 88) {  // bind or unbind
+      if (rng.bernoulli(0.6)) {
+        reserved.bind(slot, next_conn);
+        grown.bind(slot, next_conn++);
+      } else {
+        reserved.unbind(slot);
+        grown.unbind(slot);
+      }
+    } else if (kind < 93) {  // destroy: the slot goes back on the freelist
+      reserved.destroy(slot);
+      grown.destroy(slot);
+    } else {  // open ids
+      reserved.collect_open_client_ids(slot, ids_reserved);
+      grown.collect_open_client_ids(slot, ids_grown);
+      ASSERT_EQ(ids_reserved, ids_grown);
+    }
+    if (op % 50 == 0) {
+      ASSERT_EQ(reserved.state_digest(), grown.state_digest()) << "op " << op;
+    }
+  }
+  EXPECT_GT(reserved.session_count(), 32u);  // the reserved budget was outgrown
+  EXPECT_EQ(reserved.state_digest(), grown.state_digest());
+  EXPECT_EQ(reserved.open_orders_total(), grown.open_orders_total());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SessionStoreReserveTest, ::testing::Values(5u, 23u, 777u));
+
+// The hand-out order itself: fresh slots ascend from 0, and destroyed
+// sessions' slots (closed orders' slots) come back last-freed first, before
+// any fresh slot; the same with and without reserve().
+TEST(SessionStoreSlots, FreshAscendingThenLifoReuse) {
+  for (const bool reserve : {false, true}) {
+    SCOPED_TRACE(reserve ? "reserved" : "unreserved");
+    SessionStore store(SessionStoreConfig{.shards = 4});
+    if (reserve) store.reserve(8, 8, 1 << 10);
+    for (std::uint32_t i = 0; i < 6; ++i) ASSERT_EQ(store.login(kIdBase + i, 1).slot, i);
+    store.destroy(store.lookup(kIdBase + 1));
+    store.destroy(store.lookup(kIdBase + 4));
+    EXPECT_EQ(store.login(kIdBase + 10, 1).slot, 4u);
+    EXPECT_EQ(store.login(kIdBase + 11, 1).slot, 1u);
+    EXPECT_EQ(store.login(kIdBase + 12, 1).slot, 6u);
+
+    const std::uint32_t slot = store.lookup(kIdBase);
+    for (std::uint32_t i = 0; i < 5; ++i) {
+      ASSERT_EQ(store.register_order(slot, 100 + i, 1'000 + i, 0), OrderVerdict::kAccepted);
+      ASSERT_EQ(store.find_open(slot, 100 + i), i);
+    }
+    store.close_order(store.find_open(slot, 101));
+    store.close_order(store.find_open(slot, 103));
+    ASSERT_EQ(store.register_order(slot, 200, 2'000, 0), OrderVerdict::kAccepted);
+    ASSERT_EQ(store.register_order(slot, 201, 2'001, 0), OrderVerdict::kAccepted);
+    ASSERT_EQ(store.register_order(slot, 202, 2'002, 0), OrderVerdict::kAccepted);
+    EXPECT_EQ(store.find_open(slot, 200), 3u);
+    EXPECT_EQ(store.find_open(slot, 201), 1u);
+    EXPECT_EQ(store.find_open(slot, 202), 5u);
+  }
+}
+
 // Directory shards round up to a power of two and ids spread across them.
 TEST(SessionStoreShards, RoundsUpAndSpreads) {
   SessionStore store(SessionStoreConfig{.shards = 5});
