@@ -32,31 +32,9 @@ constexpr std::uint8_t kTombstone = 2;
 // out in login order, so a plain xor of the raw parts cancels to a handful
 // of distinct pre-mix keys across the whole population — every session
 // then probes the same chain. mix64 is bijective, so mixing first keeps
-// distinct ids distinct no matter how structured they are. The generation
-// is compared, not hashed, so the probe's first line and the session row
-// (which holds the generation) load in parallel.
+// distinct ids distinct no matter how structured they are.
 [[nodiscard]] std::uint64_t client_key_hash(std::uint32_t slot, proto::OrderId client_id) noexcept {
   return mix64(mix64(client_id) + slot * 0x9e3779b97f4a7c15ULL);
-}
-
-// Hands out a slab row: the freelist head if there is one (LIFO reuse),
-// else a fresh row at the end. Only here does a slab row get constructed,
-// so reserve() costs address space, not page faults.
-template <typename Row>
-[[nodiscard]] std::uint32_t take_row(Column<Row>& rows, std::uint32_t& free_head) {
-  if (free_head == SessionStore::kNullSlot) {
-    rows.emplace_back();
-    return static_cast<std::uint32_t>(rows.size() - 1);
-  }
-  const std::uint32_t slot = free_head;
-  free_head = rows[slot].next;
-  return slot;
-}
-
-template <typename Row>
-void free_row(Column<Row>& rows, std::uint32_t& free_head, std::uint32_t slot) noexcept {
-  rows[slot].next = free_head;
-  free_head = slot;
 }
 
 }  // namespace
@@ -80,10 +58,11 @@ void SessionStore::reserve(std::size_t sessions, std::size_t orders, std::size_t
   for (Shard& shard : shards_) {
     shard.dir.grow(next_pow2(std::max<std::size_t>(16, (2 * sessions) / shards_.size())));
   }
+  // The client index keeps one entry per client id ever used, so it can
+  // only outgrow the open-order budget it is sized from here; past that it
+  // doubles by cold rehash in register_order.
   exch_index_.grow(next_pow2(std::max<std::size_t>(16, 2 * orders)));
-  // The client index keeps one entry per client id *ever used*; give it the
-  // same budget as the journal-record slab so warm churn stays rehash-free.
-  client_grow(next_pow2(std::max<std::size_t>(16, 2 * std::max(orders, records / 4))));
+  client_grow(next_pow2(std::max<std::size_t>(16, 2 * orders)));
   arena_.reserve(journal_bytes);
   staging_bytes_.reserve(std::max<std::size_t>(4096, journal_bytes / 8));
   staged_.reserve(std::max<std::size_t>(256, sessions));
@@ -113,8 +92,7 @@ void SessionStore::SlotIndex<Key>::insert(Key key, std::uint32_t slot) {
   if ((occupied + 1) * 10 >= entries.size() * 7) {
     // Load trip dominated by tombstones (churn, not growth): rehash in
     // place to reclaim them instead of doubling — a long-lived table under
-    // login/destroy or order register/close churn would otherwise grow
-    // without bound.
+    // order register/close churn would otherwise grow without bound.
     const bool mostly_dead = count * 2 < entries.size();
     grow(mostly_dead ? entries.size() : entries.size() * 2);
   }
@@ -155,27 +133,25 @@ void SessionStore::SlotIndex<Key>::grow(std::size_t min_capacity) {
   }
 }
 
-// --- (session, gen, client id) index -------------------------------------
+// --- (session, client id) index -------------------------------------------
 
 // tsn-lint: hotpath
 std::uint32_t SessionStore::client_find(std::uint32_t slot, proto::OrderId id) const noexcept {
   const std::size_t mask = client_index_.size() - 1;
   std::size_t pos = client_key_hash(slot, id) & mask;
-  const std::uint32_t gen = sessions_[slot].gen;
   while (true) {
     const ClientEntry& e = client_index_[pos];
-    if (e.state == kEmpty) return kNullSlot;
-    if (e.sess == slot && e.gen == gen && e.client == id) return static_cast<std::uint32_t>(pos);
+    if (e.sess == kNullSlot) return kNullSlot;
+    if (e.sess == slot && e.client == id) return static_cast<std::uint32_t>(pos);
     pos = (pos + 1) & mask;
   }
 }
 
-void SessionStore::client_insert(std::uint32_t slot, std::uint32_t gen, proto::OrderId id,
-                                 std::uint32_t value) {
+void SessionStore::client_insert(std::uint32_t slot, proto::OrderId id, std::uint32_t value) {
   const std::size_t mask = client_index_.size() - 1;
   std::size_t pos = client_key_hash(slot, id) & mask;
-  while (client_index_[pos].state == kFull) pos = (pos + 1) & mask;
-  client_index_[pos] = ClientEntry{id, slot, gen, value, kFull};
+  while (client_index_[pos].sess != kNullSlot) pos = (pos + 1) & mask;
+  client_index_[pos] = ClientEntry{id, slot, value};
   ++client_count_;
 }
 
@@ -186,9 +162,7 @@ void SessionStore::client_grow(std::size_t min_capacity) {
   client_index_.assign(capacity, ClientEntry{});
   client_count_ = 0;
   for (const ClientEntry& e : old) {
-    // Stale-generation marks belong to destroyed sessions; drop them here.
-    if (e.state != kFull || sessions_[e.sess].gen != e.gen) continue;
-    client_insert(e.sess, e.gen, e.client, e.value);
+    if (e.sess != kNullSlot) client_insert(e.sess, e.client, e.value);
   }
 }
 
@@ -206,17 +180,10 @@ SessionStore::LoginResult SessionStore::login(std::uint32_t session_id, std::uin
     if (sessions_[existing].token != token) return {kNullSlot, LoginVerdict::kInUse};
     return {existing, LoginVerdict::kMatch};
   }
-  const std::uint32_t slot = take_row(sessions_, free_sess_);
-  SessionRow& row = sessions_[slot];
-  // A reused row keeps its generation: that is what retires the previous
-  // incarnation's client-id marks.
-  row = SessionRow{.token = token,
-                   .external = session_id,
-                   .gen = row.gen,
-                   .shard = shard_of(session_id),
-                   .flags = kFlagLive};
+  const auto slot = static_cast<std::uint32_t>(sessions_.size());
+  sessions_.push_back(
+      SessionRow{.token = token, .external = session_id, .shard = shard_of(session_id)});
   shard.dir.insert(session_id, slot);
-  ++live_sessions_;
   ++stats_.sessions_created;
   return {slot, LoginVerdict::kNew};
 }
@@ -259,34 +226,6 @@ void SessionStore::unbind(std::uint32_t slot) noexcept {
   --shard.connected;
 }
 
-void SessionStore::destroy(std::uint32_t slot) {
-  unbind(slot);
-  // Staged-but-unflushed records would otherwise commit into a freed chain.
-  if (!staged_.empty()) journal_flush();
-  SessionRow& row = sessions_[slot];
-  // Free the open-order chain (exchange-id entries included).
-  for (std::uint32_t order = row.order_head; order != kNullSlot;) {
-    const std::uint32_t next = orders_[order].next;
-    exch_index_.erase(orders_[order].exch);
-    free_row(orders_, free_ord_, order);
-    order = next;
-  }
-  for (std::uint32_t rec = row.jr_head; rec != kNullSlot;) {
-    const std::uint32_t next = records_[rec].next;
-    free_row(records_, free_jr_, rec);
-    rec = next;
-  }
-  row.order_head = row.jr_head = row.jr_tail = kNullSlot;
-  row.order_count = row.jr_count = 0;
-  // Generation bump lazily invalidates this session's client-id marks.
-  ++row.gen;
-  row.flags = 0;
-  shards_[row.shard].dir.erase(row.external);
-  free_row(sessions_, free_sess_, slot);
-  --live_sessions_;
-  ++stats_.sessions_destroyed;
-}
-
 // --- journal ---------------------------------------------------------------
 
 // tsn-lint: hotpath
@@ -308,8 +247,8 @@ void SessionStore::journal_flush() {
   const std::size_t base = arena_.size();
   arena_.insert(arena_.end(), staging_bytes_.begin(), staging_bytes_.end());
   for (const Staged& entry : staged_) {
-    const std::uint32_t rec = take_row(records_, free_jr_);
-    records_[rec] = JournalRecord{base + entry.off, entry.seq, entry.len, kNullSlot};
+    const auto rec = static_cast<std::uint32_t>(records_.size());
+    records_.push_back(JournalRecord{base + entry.off, entry.seq, entry.len, kNullSlot});
     SessionRow& row = sessions_[entry.slot];
     if (row.jr_tail != kNullSlot) {
       records_[row.jr_tail].next = rec;
@@ -331,14 +270,21 @@ void SessionStore::journal_flush() {
 OrderVerdict SessionStore::register_order(std::uint32_t slot, proto::OrderId client_id,
                                           proto::OrderId exchange_id, std::uint16_t symbol_idx) {
   if (client_find(slot, client_id) != kNullSlot) return OrderVerdict::kDuplicateClientId;
-  const std::uint32_t order = take_row(orders_, free_ord_);
+  // Closed rows come back LIFO before a fresh row is appended.
+  std::uint32_t order = free_ord_;
+  if (order == kNullSlot) {
+    order = static_cast<std::uint32_t>(orders_.size());
+    orders_.emplace_back();
+  } else {
+    free_ord_ = orders_[order].next;
+  }
   SessionRow& row = sessions_[slot];
   orders_[order] = OrderRow{client_id, exchange_id, slot, kNullSlot, row.order_head, symbol_idx};
   if (row.order_head != kNullSlot) orders_[row.order_head].prev = order;
   row.order_head = order;
   ++row.order_count;
   if ((client_count_ + 1) * 10 >= client_index_.size() * 7) client_grow(client_index_.size() * 2);
-  client_insert(slot, row.gen, client_id, order);
+  client_insert(slot, client_id, order);
   exch_index_.insert(exchange_id, order);
   ++stats_.orders_registered;
   return OrderVerdict::kAccepted;
@@ -383,7 +329,8 @@ void SessionStore::close_order(std::uint32_t order_slot) {
   client_index_[pos].value = kClosedOrder;
   exch_index_.erase(o.exch);
   unlink_order(order_slot);
-  free_row(orders_, free_ord_, order_slot);
+  orders_[order_slot].next = free_ord_;
+  free_ord_ = order_slot;
 }
 
 void SessionStore::collect_open_client_ids(std::uint32_t slot,
@@ -406,12 +353,11 @@ std::uint64_t SessionStore::state_digest() const noexcept {
       h *= kPrime;
     }
   };
-  fold(live_sessions_);
+  fold(sessions_.size());
   for (const SessionRow& row : sessions_) {
-    if ((row.flags & kFlagLive) == 0) continue;
     fold(row.external);
     fold(row.token);
-    fold(row.gen);
+    fold(0);  // once a slot-reuse counter, always 0: keeps pinned digests unchanged
     fold(row.tx_seq);
     fold((row.flags & kFlagLoggedIn) != 0 ? 1 : 0);
     fold(row.order_count);

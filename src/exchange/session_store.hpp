@@ -1,19 +1,23 @@
 // Pooled, sharded session/order/journal state for a million-session
 // exchange front end (ROADMAP item 2): the 10^5–10^6 concurrent gateway
 // sessions the paper's Design 2/3 fan-in assumes. State lives in slab rows
-// addressed by u32 slot, with LIFO freelist reuse:
+// addressed by u32 slot.
 //
-//   session row    one 64-byte line: token | external id | gen | tx_seq |
-//                  conn | order head/count | journal head/tail/count |
-//                  shard | prev | next | flags
+//   session row    one 64-byte line: token | external id | tx_seq | conn |
+//                  order head/count | journal head/tail/count | shard |
+//                  prev | next | flags
 //   order row      client id | exchange id | session | prev | next | symbol
 //   journal record offset | seq | length | next   (+ one shared byte arena)
 //
-// Rows, not columns: every access reads one whole row, and a find takes ~1
-// probe of one entry struct, so each touches one cache line. Slabs are
+// Sessions are permanent: as on a real venue, a session id is resumable
+// forever, so a session row is never freed and its directory entry never
+// erased. Session rows and journal records are append-only; only order rows
+// are recycled, through a LIFO freelist that `close_order` feeds. Slabs are
 // touched on first use: `reserve()` only reserves their capacity, and a row
-// is built when first handed out (freed rows first, LIFO, then fresh rows
-// ascending), so slots come out the same whether or not it was reserved.
+// is built when first handed out (freed order rows first, LIFO, then fresh
+// rows ascending), so slots come out the same whether or not it was
+// reserved. Every access reads one whole row, and a find takes ~1 probe of
+// one entry struct, so each touches one cache line.
 //
 // The session directory is sharded: session ids hash to one of S shards,
 // each with its own open-addressing index and an intrusive bind-ordered
@@ -26,14 +30,13 @@
 // amortizes across every session that sent in the same instant (the
 // exchange schedules one flush per instant, like its feed flush). Replay
 // walks a session's record chain and hands back the original bytes
-// verbatim, preserving PR 5's byte-identical exactly-once replay contract.
+// verbatim, preserving the byte-identical exactly-once replay contract.
 //
 // Client-order-id state (the dedupe set plus the open-order lookup) is one
-// global open-addressing table keyed by (session slot, generation, client
-// id): a live entry holds the order slot, a terminal entry a tombstone
-// value that keeps rejecting duplicate ids forever. `destroy` bumps the
-// session's generation, which invalidates its keys lazily (they are
-// dropped at the next rehash).
+// global insert-only open-addressing table of 16-byte entries keyed by
+// (session slot, client id): an entry holds the live order slot, or, once
+// the order is terminal, a closed mark that keeps rejecting duplicate ids
+// forever.
 #pragma once
 
 #include <cstddef>
@@ -66,6 +69,8 @@ enum class OrderVerdict : std::uint8_t {
 
 struct SessionStoreStats {
   std::uint64_t sessions_created = 0;
+  // Always 0: sessions are permanent. Kept because the wall-clock bench
+  // exports it as a per-layer row.
   std::uint64_t sessions_destroyed = 0;
   std::uint64_t orders_registered = 0;
   std::uint64_t journal_appends = 0;
@@ -79,10 +84,11 @@ class SessionStore {
 
   explicit SessionStore(SessionStoreConfig config = {});
 
-  // Reserves slab capacity and sizes (zero-fills) every index, the staging
-  // ring and the journal arena, so the first `sessions` sessions with
-  // `orders` concurrently open orders and `journal_bytes` of journaled
-  // traffic never grow mid-update. Slab rows are not touched here.
+  // Reserves slab capacity and sizes (fills) every index, the staging ring
+  // and the journal arena, so the first `sessions` sessions with `orders`
+  // concurrently open orders, up to 1.4 x `orders` client ids used in all,
+  // and `journal_bytes` of journaled traffic never grow mid-update. Slab
+  // rows are not touched here.
   void reserve(std::size_t sessions, std::size_t orders, std::size_t journal_bytes);
 
   // --- directory -------------------------------------------------------
@@ -102,12 +108,6 @@ class SessionStore {
   void bind(std::uint32_t slot, std::uint32_t conn) noexcept;
   void unbind(std::uint32_t slot) noexcept;
 
-  // Full removal: closes every open order, frees the journal chain, bumps
-  // the generation (lazily invalidating dedupe marks) and recycles the row.
-  // The exchange never destroys sessions — ids are resumable forever — but
-  // the differential suite exercises slot reuse through this.
-  void destroy(std::uint32_t slot);
-
   [[nodiscard]] std::uint32_t shard_count() const noexcept {
     return static_cast<std::uint32_t>(shards_.size());
   }
@@ -115,7 +115,7 @@ class SessionStore {
     return static_cast<std::uint32_t>(mix32(session_id) & shard_mask_);
   }
   // Visits the shard's connected sessions in bind order. `fn(slot)` may not
-  // bind/unbind/destroy (the sweep caller collects first, then acts).
+  // bind/unbind (the sweep caller collects first, then acts).
   template <typename Fn>
   void for_each_connected(std::uint32_t shard, Fn&& fn) const {
     for (std::uint32_t s = shards_[shard].head; s != kNullSlot; s = sessions_[s].next) fn(s);
@@ -151,17 +151,7 @@ class SessionStore {
   [[nodiscard]] std::uint32_t tx_seq(std::uint32_t slot) const noexcept {
     return sessions_[slot].tx_seq;
   }
-  [[nodiscard]] std::size_t session_count() const noexcept { return live_sessions_; }
-  [[nodiscard]] std::uint32_t generation(std::uint32_t slot) const noexcept {
-    return sessions_[slot].gen;
-  }
-  // Test-only: parks the generation counter so the wraparound suite can
-  // drive it across 0xffffffff without performing four billion destroys.
-  // Never call on a session with live client-id marks — existing marks keep
-  // their old generation and would resurrect if the counter revisits it.
-  void debug_set_generation(std::uint32_t slot, std::uint32_t gen) noexcept {
-    sessions_[slot].gen = gen;
-  }
+  [[nodiscard]] std::size_t session_count() const noexcept { return sessions_.size(); }
   // Test-only: exchange-index table capacity, so the churn suite can assert
   // the tombstone-compacting rehash keeps it bounded.
   [[nodiscard]] std::size_t debug_exchange_index_capacity() const noexcept {
@@ -169,13 +159,13 @@ class SessionStore {
   }
 
   // Order-independent? No — deliberately order-DEPENDENT: a 64-bit FNV-1a
-  // fold over every live session row in slot order (external id, token,
-  // generation, tx_seq, logged-in, open orders, journal entries). Two
-  // stores that processed the same admitted input sequence hold the same
-  // rows in the same slots, so primary and backup digests are equal at
-  // every replication sequence point; any divergence — a lost login, a
-  // skipped order, a stray ack — shifts the fold. Connection indexes are
-  // excluded (the backup has no TCP legs).
+  // fold over every session row in slot order (external id, token, tx_seq,
+  // logged-in, open orders, journal entries). Two stores that processed the
+  // same admitted input sequence hold the same rows in the same slots, so
+  // primary and backup digests are equal at every replication sequence
+  // point; any divergence — a lost login, a skipped order, a stray ack —
+  // shifts the fold. Connection indexes are excluded (the backup has no TCP
+  // legs).
   [[nodiscard]] std::uint64_t state_digest() const noexcept;
 
   // --- shared journal ---------------------------------------------------
@@ -184,7 +174,6 @@ class SessionStore {
   // for one session must be staged in ascending seq order (the exchange's
   // tx_seq counter guarantees this).
   void journal_stage(std::uint32_t slot, std::uint32_t seq, std::span<const std::byte> bytes);
-  [[nodiscard]] bool journal_dirty() const noexcept { return !staged_.empty(); }
   // Group commit: appends the staging ring to the arena and links every
   // staged record into its session's chain, in staging order.
   void journal_flush();
@@ -199,9 +188,6 @@ class SessionStore {
         fn(rec.seq, std::span<const std::byte>{arena_.data() + rec.off, rec.len});
       }
     }
-  }
-  [[nodiscard]] std::uint32_t journal_entries(std::uint32_t slot) const noexcept {
-    return sessions_[slot].jr_count;  // committed + staged
   }
 
   // --- open orders / client-id dedupe ----------------------------------
@@ -244,9 +230,6 @@ class SessionStore {
 
  private:
   static constexpr std::uint8_t kFlagLoggedIn = 0x01;
-  // Row is allocated to a session (not on the freelist): the digest walk
-  // and other slot-order scans test this instead of probing the directory.
-  static constexpr std::uint8_t kFlagLive = 0x02;
   // Client-index value for a terminal order: the id stays used forever.
   static constexpr std::uint32_t kClosedOrder = 0xfffffffeu;
 
@@ -289,23 +272,20 @@ class SessionStore {
     std::size_t connected = 0;
   };
 
-  // (session slot, generation, client id) -> live order slot or kClosedOrder.
-  // No erase: stale generations are dropped at rehash.
+  // (session slot, client id) -> live order slot or kClosedOrder. Insert
+  // only; a bucket is empty while `sess` is kNullSlot, which no session
+  // slot reaches.
   struct ClientEntry {
     proto::OrderId client = 0;
-    std::uint32_t sess = 0;
-    std::uint32_t gen = 0;
+    std::uint32_t sess = kNullSlot;
     std::uint32_t value = 0;
-    std::uint8_t state = 0;  // 0 empty, 1 full
   };
-  static_assert(sizeof(ClientEntry) == 24);
+  static_assert(sizeof(ClientEntry) == 16);
 
-  // Slab rows. A fresh row is value-initialised when first handed out; a
-  // reused one keeps only its generation. `next` doubles as the freelist link.
+  // Slab rows, value-initialised when first handed out.
   struct alignas(64) SessionRow {
     std::uint64_t token = 0;
     std::uint32_t external = 0;
-    std::uint32_t gen = 0;
     std::uint32_t tx_seq = 1;
     std::uint32_t conn = kNullSlot;
     std::uint32_t order_head = kNullSlot;
@@ -315,7 +295,7 @@ class SessionStore {
     std::uint32_t jr_count = 0;
     std::uint32_t shard = 0;
     std::uint32_t prev = kNullSlot;  // connected-list link
-    std::uint32_t next = kNullSlot;  // connected-list link / freelist link
+    std::uint32_t next = kNullSlot;  // connected-list link
     std::uint8_t flags = 0;
   };
   struct OrderRow {
@@ -330,7 +310,7 @@ class SessionStore {
     std::uint64_t off = 0;  // into arena_
     std::uint32_t seq = 0;
     std::uint32_t len = 0;
-    std::uint32_t next = kNullSlot;  // session chain / freelist link
+    std::uint32_t next = kNullSlot;  // session chain
   };
   static_assert(sizeof(SessionRow) == 64);
   static_assert(sizeof(OrderRow) <= 32);
@@ -344,8 +324,7 @@ class SessionStore {
   };
 
   [[nodiscard]] std::uint32_t client_find(std::uint32_t slot, proto::OrderId id) const noexcept;
-  void client_insert(std::uint32_t slot, std::uint32_t gen, proto::OrderId id,
-                     std::uint32_t value);
+  void client_insert(std::uint32_t slot, proto::OrderId id, std::uint32_t value);
   void client_grow(std::size_t min_capacity);
 
   void unlink_order(std::uint32_t order_slot) noexcept;
@@ -354,14 +333,11 @@ class SessionStore {
   std::vector<Shard> shards_;
 
   Column<SessionRow> sessions_;
-  std::uint32_t free_sess_ = kNullSlot;
-  std::size_t live_sessions_ = 0;
   Column<OrderRow> orders_;
   std::uint32_t free_ord_ = kNullSlot;
 
   // Journal record slab + shared byte arena + staging ring.
   Column<JournalRecord> records_;
-  std::uint32_t free_jr_ = kNullSlot;
   std::vector<std::byte> arena_;
   std::vector<Staged> staged_;
   std::vector<std::byte> staging_bytes_;

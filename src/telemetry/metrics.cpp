@@ -93,20 +93,6 @@ Histogram WindowedCounter::stats(bool include_empty) const {
   return out;
 }
 
-void LatencyTracker::record_cause(std::uint64_t cause_id, sim::Time at) {
-  causes_[cause_id] = at;
-}
-
-bool LatencyTracker::record_effect(std::uint64_t cause_id, sim::Time at) {
-  const auto it = causes_.find(cause_id);
-  if (it == causes_.end()) {
-    ++unmatched_;
-    return false;
-  }
-  samples_.add((at - it->second).nanos());
-  return true;
-}
-
 Counter& Registry::counter(const std::string& name) { return counters_[name]; }
 Histogram& Registry::histogram(const std::string& name) { return histograms_[name]; }
 

@@ -2,10 +2,10 @@
 // entity, plus a Registry that names them and snapshots deterministically.
 //
 // Histogram and WindowedCounter began life as sim::SampleStats /
-// sim::WindowedCounter, and LatencyTracker in capture/tap.hpp; this header
-// is now their only home. Folding them here gives switches, mroute tables,
-// WAN links, sessions and capture appliances a single registration surface
-// (`register_metrics`) and a single export path (`Registry::to_json`).
+// sim::WindowedCounter; this header is now their only home. Folding them
+// here gives switches, mroute tables, WAN links, sessions and capture
+// appliances a single registration surface (`register_metrics`) and a
+// single export path (`Registry::to_json`).
 #pragma once
 
 #include <cstddef>
@@ -14,7 +14,6 @@
 #include <limits>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -92,25 +91,6 @@ class WindowedCounter {
   sim::Time origin_;
   sim::Duration window_;
   std::vector<std::uint64_t> counts_;
-};
-
-// Matches cause/effect event pairs and accumulates latency samples — the
-// paper's strategy-latency measurement (order-out time minus most recent
-// input-event time), as computed by a capture appliance.
-class LatencyTracker {
- public:
-  void record_cause(std::uint64_t cause_id, sim::Time at);
-  // Records the effect and, if the cause is known, adds a latency sample
-  // (in nanoseconds). Returns true when matched.
-  bool record_effect(std::uint64_t cause_id, sim::Time at);
-
-  [[nodiscard]] const Histogram& latencies_ns() const noexcept { return samples_; }
-  [[nodiscard]] std::uint64_t unmatched_effects() const noexcept { return unmatched_; }
-
- private:
-  std::unordered_map<std::uint64_t, sim::Time> causes_;
-  Histogram samples_;
-  std::uint64_t unmatched_ = 0;
 };
 
 // Named metrics for one run. Entities register counters/histograms they own

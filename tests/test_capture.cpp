@@ -99,30 +99,5 @@ TEST(Tap, RecordLimitBoundsMemory) {
   EXPECT_LE(rig.tap.records().size(), 10u);
 }
 
-TEST(LatencyTracker, MatchesCauseToEffect) {
-  LatencyTracker tracker;
-  tracker.record_cause(1, sim::Time::zero() + sim::micros(std::int64_t{10}));
-  EXPECT_TRUE(tracker.record_effect(1, sim::Time::zero() + sim::micros(std::int64_t{14})));
-  EXPECT_EQ(tracker.latencies_ns().count(), 1u);
-  EXPECT_DOUBLE_EQ(tracker.latencies_ns().mean(), 4'000.0);
-}
-
-TEST(LatencyTracker, UnmatchedEffectsAreCounted) {
-  LatencyTracker tracker;
-  EXPECT_FALSE(tracker.record_effect(99, sim::Time::zero()));
-  EXPECT_EQ(tracker.unmatched_effects(), 1u);
-  EXPECT_TRUE(tracker.latencies_ns().empty());
-}
-
-TEST(LatencyTracker, StrategyLatencyDefinition) {
-  // §2: strategy latency = order send time minus most recent input event
-  // time. The most recent cause wins when a cause id is re-recorded.
-  LatencyTracker tracker;
-  tracker.record_cause(5, sim::Time::zero() + sim::micros(std::int64_t{1}));
-  tracker.record_cause(5, sim::Time::zero() + sim::micros(std::int64_t{2}));  // newer input
-  EXPECT_TRUE(tracker.record_effect(5, sim::Time::zero() + sim::micros(std::int64_t{3})));
-  EXPECT_DOUBLE_EQ(tracker.latencies_ns().mean(), 1'000.0);
-}
-
 }  // namespace
 }  // namespace tsn::capture

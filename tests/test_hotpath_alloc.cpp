@@ -275,8 +275,8 @@ TEST(HotPathAlloc, WarmSessionStoreCycleIsAllocationFree) {
   // The pooled session store's contract (DESIGN.md "Session scale-out"):
   // with reserve() front-loading the slabs, indexes and journal arena, the
   // per-session lifecycle — login, bind, order register/close with dedupe,
-  // journal stage + group flush, replay, flap (unbind/bind) and even
-  // destroy + re-login (slot reuse, generation bump) — is allocation-free.
+  // journal stage + group flush, replay, flap (unbind/bind) and re-login —
+  // is allocation-free.
   exchange::SessionStore store{exchange::SessionStoreConfig{.shards = 16}};
   store.reserve(1'024, 8'192, std::size_t{1} << 20);
 
@@ -323,14 +323,14 @@ TEST(HotPathAlloc, WarmSessionStoreCycleIsAllocationFree) {
         }
       }
       store.journal_flush();
-      // A couple of full teardowns: destroy bumps the generation and the
-      // re-login must reuse the slot and directory entry without growing.
+      // A couple of re-logins: the session resumes its own slot and
+      // directory entry without growing anything.
       for (std::uint32_t k = 0; k < 2; ++k) {
         const std::uint32_t s = (static_cast<std::uint32_t>(round) * 2 + k) % kPop;
-        store.destroy(store.lookup(kBase + s));
-        tx[s] = 0;
+        const std::uint32_t slot = store.lookup(kBase + s);
         const auto back = store.login(kBase + s, token_of(s));
-        ASSERT_EQ(back.verdict, exchange::LoginVerdict::kNew);
+        ASSERT_EQ(back.verdict, exchange::LoginVerdict::kMatch);
+        ASSERT_EQ(back.slot, slot);
         store.bind(back.slot, next_conn++);
       }
     }
@@ -340,7 +340,7 @@ TEST(HotPathAlloc, WarmSessionStoreCycleIsAllocationFree) {
   const std::uint64_t before = allocations();
   churn(8);
   EXPECT_EQ(allocations() - before, 0u)
-      << "warm session login/order/journal/replay/destroy cycles must not touch the heap";
+      << "warm session login/order/journal/replay cycles must not touch the heap";
   EXPECT_GT(replayed, 0u);
   EXPECT_EQ(store.session_count(), kPop);
 }
@@ -350,7 +350,7 @@ TEST(HotPathAlloc, ReservedSessionStoreFirstUseIsAllocationFree) {
   // constructed the first time it is handed out. That first use must fit in
   // the reserved capacity, so with no warm-up at all, the first logins,
   // binds, order register/close, journal stage/flush, replay and a
-  // destroy + re-login stay off the heap while within the reserved budget.
+  // re-login stay off the heap while within the reserved budget.
   exchange::SessionStore store{exchange::SessionStoreConfig{.shards = 16}};
   store.reserve(1'024, 8'192, std::size_t{1} << 20);
 
@@ -387,12 +387,13 @@ TEST(HotPathAlloc, ReservedSessionStoreFirstUseIsAllocationFree) {
     store.replay(slots[round], 0, count_replayed);
     store.unbind(slots[round]);
   }
-  store.destroy(slots[0]);
-  ASSERT_EQ(store.login(kBase, 0xbeefULL).slot, slots[0]);
+  const auto back = store.login(kBase, 0xbeefULL);
+  ASSERT_EQ(back.verdict, exchange::LoginVerdict::kMatch);
+  ASSERT_EQ(back.slot, slots[0]);
   EXPECT_EQ(allocations() - before, 0u)
       << "first use of a reserved session store must not touch the heap";
   EXPECT_EQ(replayed, 1u + 2u + 3u + 4u);  // session r holds r + 1 records at round r
-  EXPECT_EQ(store.open_orders_total(), (kPop - 1) * 4u);
+  EXPECT_EQ(store.open_orders_total(), kPop * 4u);
 }
 
 TEST(HotPathAlloc, WarmBatchDecodeIsAllocationFree) {

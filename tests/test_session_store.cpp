@@ -1,13 +1,12 @@
 // Differential property test: SessionStore vs a naive std::map oracle.
 //
 // Randomized op soups (create / bind / unbind / re-login / takeover-style
-// wrong-token logins / order register / close / journal stage+flush+replay /
-// destroy) run against both the pooled sharded store and a transparently
-// correct oracle built on std::map/std::set. After every mutation batch the
-// test compares lookups, verdicts, per-shard connected membership *in bind
+// wrong-token logins / order register / close / journal stage+flush+replay)
+// run against both the pooled sharded store and a transparently correct
+// oracle built on std::map/std::set. After every mutation batch the test
+// compares lookups, verdicts, per-shard connected membership *in bind
 // order*, open-order sets, dedupe marks and byte-exact replay streams.
-// Destroy + re-login exercises slot reuse and the generation-bump dedupe
-// invalidation; multiple shard counts exercise the directory sharding.
+// Multiple shard counts exercise the directory sharding.
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
@@ -34,7 +33,7 @@ struct OracleSession {
   std::uint64_t token = 0;
   bool bound = false;
   std::map<proto::OrderId, proto::OrderId> open;  // client id -> exchange id
-  std::set<proto::OrderId> used;                  // this incarnation's client ids
+  std::set<proto::OrderId> used;                  // every client id ever used
   std::vector<std::pair<std::uint32_t, std::vector<std::byte>>> journal;
   std::uint32_t tx = 1;
 };
@@ -171,16 +170,6 @@ TEST_P(SessionStoreDifferentialTest, OpSoupMatchesOracle) {
         if (seq > last_seen) want.emplace_back(seq, bytes);
       }
       ASSERT_EQ(got, want) << "replay horizon " << last_seen;
-    } else if (kind < 94) {  // destroy (slot reuse + generation bump)
-      if (oracle.sessions.empty()) continue;
-      const std::uint32_t ext = pick_live();
-      store.destroy(slot_of(ext));
-      oracle.unbind(store.shard_of(ext), ext);
-      for (auto it = oracle.exch.begin(); it != oracle.exch.end();) {
-        it = it->second.first == ext ? oracle.exch.erase(it) : std::next(it);
-      }
-      oracle.sessions.erase(ext);
-      ASSERT_EQ(store.lookup(ext), SessionStore::kNullSlot);
     } else {  // point queries on a random live session
       if (oracle.sessions.empty()) continue;
       const std::uint32_t ext = pick_live();
@@ -225,46 +214,50 @@ TEST_P(SessionStoreDifferentialTest, OpSoupMatchesOracle) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SessionStoreDifferentialTest,
                          ::testing::Values(1u, 2u, 3u, 4u, 17u, 42u, 1001u, 9999u));
 
-// The generation counter is the dedupe-mark invalidator: client-id marks
-// carry the generation they were registered under, and destroy bumps the
-// slot's counter so old marks die. Park the counter at the top of its range
-// and drive it across the 32-bit wrap: marks from the 0xfffffffe and
-// 0xffffffff incarnations must stay dead after the counter re-enters low
-// values, and a rehash (which sweeps stale-generation marks) must keep the
-// live incarnation's marks intact.
-TEST(SessionStoreGeneration, WraparoundKeepsDedupeSound) {
-  SessionStore store(SessionStoreConfig{.shards = 1});
-  const std::uint32_t ext = kIdBase;
-  const auto first = store.login(ext, 1);
-  ASSERT_EQ(first.verdict, LoginVerdict::kNew);
-  const std::uint32_t slot = first.slot;
-  store.debug_set_generation(slot, 0xfffffffeu);
-  ASSERT_EQ(store.register_order(slot, 100, 1'000, 0), OrderVerdict::kAccepted);
-  ASSERT_EQ(store.register_order(slot, 100, 1'001, 0), OrderVerdict::kDuplicateClientId);
-
-  store.destroy(slot);  // generation -> 0xffffffff
-  const auto second = store.login(ext, 1);
-  ASSERT_EQ(second.verdict, LoginVerdict::kNew);
-  ASSERT_EQ(second.slot, slot);  // LIFO freelist hands the slot straight back
-  EXPECT_EQ(store.generation(slot), 0xffffffffu);
-  EXPECT_FALSE(store.client_id_used(slot, 100));  // old incarnation's mark is dead
-  ASSERT_EQ(store.register_order(slot, 100, 1'002, 0), OrderVerdict::kAccepted);
-
-  store.destroy(slot);  // generation wraps: 0xffffffff -> 0
-  const auto third = store.login(ext, 1);
-  ASSERT_EQ(third.slot, slot);
-  EXPECT_EQ(store.generation(slot), 0u);
-  EXPECT_FALSE(store.client_id_used(slot, 100));
-  ASSERT_EQ(store.register_order(slot, 100, 1'003, 0), OrderVerdict::kAccepted);
-
-  // Force a client-index rehash (the stale-generation sweep) and confirm it
-  // keeps exactly the live incarnation's marks.
-  for (proto::OrderId id = 200; id < 400; ++id) {
-    ASSERT_EQ(store.register_order(slot, id, 10'000 + id, 0), OrderVerdict::kAccepted);
+// The client index is insert-only and sized from the open-order budget, so
+// a store that registers more client ids than that grows it by rehash. Force
+// several doublings on an unreserved store across many sessions, closing
+// some orders along the way: after the rehashes every id used must still be
+// rejected as a duplicate, every open order must still resolve through
+// find_open, and ids never used must still be free.
+TEST(SessionStoreClientIndex, GrowthKeepsDedupeAndOpenOrders) {
+  SessionStore store(SessionStoreConfig{.shards = 4});
+  constexpr std::uint32_t kSessions = 8;
+  constexpr proto::OrderId kIdsPerSession = 300;
+  std::vector<std::uint32_t> slots;
+  for (std::uint32_t s = 0; s < kSessions; ++s) slots.push_back(store.login(kIdBase + s, s).slot);
+  std::map<std::pair<std::uint32_t, proto::OrderId>, std::uint32_t> open;  // -> order slot
+  proto::OrderId next_exchange = 1;
+  for (proto::OrderId id = 1; id <= kIdsPerSession; ++id) {
+    for (const std::uint32_t slot : slots) {
+      ASSERT_EQ(store.register_order(slot, id, next_exchange++, 0), OrderVerdict::kAccepted);
+      const std::uint32_t order = store.find_open(slot, id);
+      ASSERT_NE(order, SessionStore::kNullSlot);
+      if (id % 3 == 0) {
+        store.close_order(order);
+      } else {
+        open[{slot, id}] = order;
+      }
+    }
   }
-  EXPECT_TRUE(store.client_id_used(slot, 100));
-  EXPECT_FALSE(store.client_id_used(slot, 150));
-  ASSERT_EQ(store.register_order(slot, 100, 20'000, 0), OrderVerdict::kDuplicateClientId);
+  ASSERT_EQ(store.stats().orders_registered, kSessions * kIdsPerSession);
+  ASSERT_EQ(store.open_orders_total(), open.size());
+  for (const std::uint32_t slot : slots) {
+    for (proto::OrderId id = 1; id <= kIdsPerSession; ++id) {
+      EXPECT_TRUE(store.client_id_used(slot, id));
+      ASSERT_EQ(store.register_order(slot, id, next_exchange++, 0),
+                OrderVerdict::kDuplicateClientId);
+      const auto it = open.find({slot, id});
+      const std::uint32_t want = it == open.end() ? SessionStore::kNullSlot : it->second;
+      ASSERT_EQ(store.find_open(slot, id), want) << "slot " << slot << " id " << id;
+    }
+    EXPECT_FALSE(store.client_id_used(slot, kIdsPerSession + 1));
+    EXPECT_FALSE(store.client_id_used(slot, 0));
+  }
+  for (const auto& [key, order] : open) {
+    EXPECT_EQ(store.order_session(order), key.first);
+    EXPECT_EQ(store.order_client_id(order), key.second);
+  }
 }
 
 // Tombstone-heavy churn: a bounded set of open orders cycling through the
@@ -318,10 +311,11 @@ TEST(SessionStoreExchangeIndex, TombstoneChurnCompactsAndStaysCorrect) {
 }
 
 // Slot hand-out does not depend on reserve(): reserve only reserves slab
-// capacity, and rows come from the freelist (LIFO) before fresh rows
-// (ascending) either way. The same seeded op soup on a reserved store and an
-// unreserved one must return the same slot at every step, the same open ids,
-// the same lookups and the same digest. The population outgrows the reserved
+// capacity, session rows are appended in login order, and order rows come
+// from the freelist (LIFO) before fresh rows (ascending) either way. The
+// same seeded op soup on a reserved store and an unreserved one must return
+// the same slot at every step, the same open ids, the same lookups and the
+// same digest. The population outgrows the reserved
 // budget, so growth past reserve() is covered too.
 class SessionStoreReserveTest : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -388,7 +382,7 @@ TEST_P(SessionStoreReserveTest, SlotOrderIndependentOfReserve) {
         reserved.journal_flush();
         grown.journal_flush();
       }
-    } else if (kind < 88) {  // bind or unbind
+    } else if (kind < 90) {  // bind or unbind
       if (rng.bernoulli(0.6)) {
         reserved.bind(slot, next_conn);
         grown.bind(slot, next_conn++);
@@ -396,9 +390,6 @@ TEST_P(SessionStoreReserveTest, SlotOrderIndependentOfReserve) {
         reserved.unbind(slot);
         grown.unbind(slot);
       }
-    } else if (kind < 93) {  // destroy: the slot goes back on the freelist
-      reserved.destroy(slot);
-      grown.destroy(slot);
     } else {  // open ids
       reserved.collect_open_client_ids(slot, ids_reserved);
       grown.collect_open_client_ids(slot, ids_grown);
@@ -415,20 +406,16 @@ TEST_P(SessionStoreReserveTest, SlotOrderIndependentOfReserve) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SessionStoreReserveTest, ::testing::Values(5u, 23u, 777u));
 
-// The hand-out order itself: fresh slots ascend from 0, and destroyed
-// sessions' slots (closed orders' slots) come back last-freed first, before
-// any fresh slot; the same with and without reserve().
-TEST(SessionStoreSlots, FreshAscendingThenLifoReuse) {
+// The hand-out order itself: session slots ascend from 0 in login order,
+// and order slots come back last-closed first, before any fresh slot; the
+// same with and without reserve().
+TEST(SessionStoreSlots, FreshAscendingThenLifoOrderReuse) {
   for (const bool reserve : {false, true}) {
     SCOPED_TRACE(reserve ? "reserved" : "unreserved");
     SessionStore store(SessionStoreConfig{.shards = 4});
     if (reserve) store.reserve(8, 8, 1 << 10);
     for (std::uint32_t i = 0; i < 6; ++i) ASSERT_EQ(store.login(kIdBase + i, 1).slot, i);
-    store.destroy(store.lookup(kIdBase + 1));
-    store.destroy(store.lookup(kIdBase + 4));
-    EXPECT_EQ(store.login(kIdBase + 10, 1).slot, 4u);
-    EXPECT_EQ(store.login(kIdBase + 11, 1).slot, 1u);
-    EXPECT_EQ(store.login(kIdBase + 12, 1).slot, 6u);
+    EXPECT_EQ(store.login(kIdBase + 3, 1).slot, 3u);  // a re-login keeps its slot
 
     const std::uint32_t slot = store.lookup(kIdBase);
     for (std::uint32_t i = 0; i < 5; ++i) {
@@ -443,6 +430,18 @@ TEST(SessionStoreSlots, FreshAscendingThenLifoReuse) {
     EXPECT_EQ(store.find_open(slot, 200), 3u);
     EXPECT_EQ(store.find_open(slot, 201), 1u);
     EXPECT_EQ(store.find_open(slot, 202), 5u);
+
+    // Another session's orders draw on the same freelist.
+    const std::uint32_t other = store.lookup(kIdBase + 5);
+    store.close_order(store.find_open(slot, 100));
+    store.close_order(store.find_open(slot, 202));
+    ASSERT_EQ(store.register_order(other, 100, 3'000, 0), OrderVerdict::kAccepted);
+    ASSERT_EQ(store.register_order(other, 101, 3'001, 0), OrderVerdict::kAccepted);
+    EXPECT_EQ(store.find_open(other, 100), 5u);
+    EXPECT_EQ(store.find_open(other, 101), 0u);
+    EXPECT_EQ(store.order_session(5), other);
+    EXPECT_EQ(store.find_open(slot, 100), SessionStore::kNullSlot);
+    EXPECT_EQ(store.session_count(), 6u);
   }
 }
 
