@@ -156,7 +156,11 @@ Exchange::Exchange(sim::Scheduler& engine, ExchangeConfig config)
                                             config_.feed_mtu_payload));
   }
 
+  listings_.reserve(config_.symbols.size());
   for (const auto& spec : config_.symbols) {
+    if (!symbol_idx_.emplace(spec.symbol, static_cast<std::uint16_t>(listings_.size())).second) {
+      throw std::invalid_argument{"symbol listed twice: " + spec.symbol.str()};
+    }
     const std::uint8_t unit =
         static_cast<std::uint8_t>(config_.feed_partitioning->partition_of(spec.symbol, spec.kind));
     auto listener = std::make_unique<FeedListener>(*this, spec.symbol, unit);
@@ -164,11 +168,7 @@ Exchange::Exchange(sim::Scheduler& engine, ExchangeConfig config)
     // Pre-warm the SoA slabs at startup so the first burst of resting
     // orders never pays mid-update slab growth.
     book->reserve(1'024, 128);
-    symbol_idx_.emplace(spec.symbol, static_cast<std::uint16_t>(book_ptrs_.size()));
-    book_ptrs_.push_back(book.get());
-    books_.emplace(spec.symbol, std::move(book));
-    listeners_.emplace(spec.symbol, std::move(listener));
-    kinds_.emplace(spec.symbol, spec.kind);
+    listings_.push_back(Listing{std::move(listener), std::move(book), spec.kind});
   }
 
   if (config_.expected_sessions > 0) {
@@ -196,19 +196,20 @@ net::Ipv4Addr Exchange::unit_group(std::uint8_t unit) const noexcept {
 }
 
 std::uint8_t Exchange::unit_of(const proto::Symbol& symbol) const {
-  const auto kind_it = kinds_.find(symbol);
-  const auto kind = kind_it == kinds_.end() ? proto::InstrumentKind::kEquity : kind_it->second;
+  const auto it = symbol_idx_.find(symbol);
+  const auto kind =
+      it == symbol_idx_.end() ? proto::InstrumentKind::kEquity : listings_[it->second].kind;
   return static_cast<std::uint8_t>(config_.feed_partitioning->partition_of(symbol, kind));
 }
 
 book::OrderBook& Exchange::book(const proto::Symbol& symbol) {
-  auto it = books_.find(symbol);
-  if (it == books_.end()) throw std::out_of_range{"symbol not listed: " + symbol.str()};
-  return *it->second;
+  const auto it = symbol_idx_.find(symbol);
+  if (it == symbol_idx_.end()) throw std::out_of_range{"symbol not listed: " + symbol.str()};
+  return *listings_[it->second].book;
 }
 
 bool Exchange::lists(const proto::Symbol& symbol) const noexcept {
-  return books_.contains(symbol);
+  return symbol_idx_.contains(symbol);
 }
 
 std::uint32_t Exchange::now_seconds() const noexcept {
@@ -276,15 +277,16 @@ void Exchange::snapshot_tick() {
         }};
     builder.append(proto::pitch::SnapshotBegin{u, units_[u]->builder_.next_sequence()});
     std::uint32_t order_count = 0;
-    for (const auto& spec : config_.symbols) {
-      if (unit_of(spec.symbol) != u) continue;
-      books_.at(spec.symbol)->for_each_order([&](const book::Order& order) {
+    for (const Listing& listing : listings_) {
+      const proto::Symbol symbol = listing.book->symbol();
+      if (unit_of(symbol) != u) continue;
+      listing.book->for_each_order([&](const book::Order& order) {
         proto::pitch::AddOrder add;
         add.time_offset_ns = now_offset_ns();
         add.order_id = order.id;
         add.side = order.side;
         add.quantity = order.quantity;
-        add.symbol = spec.symbol;
+        add.symbol = symbol;
         add.price = order.price;
         builder.append(proto::pitch::Message{add});
         ++order_count;
@@ -631,7 +633,7 @@ void Exchange::declare_session_dead(std::uint32_t session) {
     // on the feed — disconnect-driven pulls are market data like any
     // other cancel.
     const auto cancelled =
-        book_ptrs_[store_.order_symbol(order)]->cancel(store_.order_exchange_id(order));
+        listings_[store_.order_symbol(order)].book->cancel(store_.order_exchange_id(order));
     if (cancelled) {
       send_app(session, proto::boe::OrderCancelled{client_id, *cancelled});
       ++stats_.cod_orders_cancelled;
@@ -798,7 +800,7 @@ void Exchange::handle_new_order(std::uint32_t session, const proto::boe::NewOrde
 
   store_.register_order(session, request.client_order_id, exchange_id, symbol_it->second);
 
-  auto& target_book = *book_ptrs_[symbol_it->second];
+  auto& target_book = *listings_[symbol_it->second].book;
   const book::Order order{exchange_id, request.side, request.price, request.quantity};
   const bool ioc = request.tif == TimeInForce::kImmediateOrCancel;
   const auto outcome = target_book.submit(order, ioc);
@@ -830,7 +832,7 @@ void Exchange::handle_cancel(std::uint32_t session, const proto::boe::CancelOrde
     return;
   }
   auto cancelled =
-      book_ptrs_[store_.order_symbol(order)]->cancel(store_.order_exchange_id(order));
+      listings_[store_.order_symbol(order)].book->cancel(store_.order_exchange_id(order));
   if (!cancelled) {
     ++stats_.cancel_rejects;
     send_app(session, CancelRejected{request.client_order_id, RejectReason::kTooLateToCancel});
@@ -849,8 +851,8 @@ void Exchange::handle_modify(std::uint32_t session, const proto::boe::ModifyOrde
   }
   // replace() can rematch and fully fill via notify_fill, which closes the
   // order row — don't touch `order` after this call.
-  if (!book_ptrs_[store_.order_symbol(order)]->replace(store_.order_exchange_id(order),
-                                                       request.quantity, request.price)) {
+  if (!listings_[store_.order_symbol(order)].book->replace(
+          store_.order_exchange_id(order), request.quantity, request.price)) {
     send_app(session, CancelRejected{request.client_order_id, RejectReason::kUnknownOrder});
     return;
   }
@@ -933,11 +935,10 @@ std::uint64_t Exchange::state_digest() const {
     }
   };
   fold(next_order_id_);
-  // config_.symbols order is construction order: identical on both halves
-  // of a pair built from the same config.
-  for (const auto& spec : config_.symbols) {
-    const book::OrderBook& b = *books_.at(spec.symbol);
-    b.for_each_order([&](const book::Order& order) {
+  // Listing order is config_.symbols order: identical on both halves of a
+  // pair built from the same config.
+  for (const Listing& listing : listings_) {
+    listing.book->for_each_order([&](const book::Order& order) {
       fold(order.id);
       fold(static_cast<std::uint64_t>(order.side));
       fold(static_cast<std::uint64_t>(order.price));
@@ -957,9 +958,9 @@ std::uint64_t Exchange::econ_digest() const {
     }
   };
   std::vector<std::tuple<std::uint8_t, std::int64_t, std::uint64_t>> rows;
-  for (const auto& spec : config_.symbols) {
+  for (const Listing& listing : listings_) {
     rows.clear();
-    books_.at(spec.symbol)->for_each_order([&](const book::Order& order) {
+    listing.book->for_each_order([&](const book::Order& order) {
       rows.emplace_back(static_cast<std::uint8_t>(order.side),
                         static_cast<std::int64_t>(order.price), order.quantity);
     });

@@ -326,13 +326,17 @@ class Exchange {
   std::unique_ptr<net::NetStack> order_stack_;
 
   std::vector<std::unique_ptr<Unit>> units_;
-  std::unordered_map<proto::Symbol, std::unique_ptr<book::OrderBook>> books_;
-  std::unordered_map<proto::Symbol, std::unique_ptr<FeedListener>> listeners_;
-  std::unordered_map<proto::Symbol, proto::InstrumentKind> kinds_;
+  // One row per listed symbol, in config_.symbols order. The book reports
+  // to its listener, so the listener is destroyed last.
+  struct Listing {
+    std::unique_ptr<FeedListener> listener;
+    std::unique_ptr<book::OrderBook> book;
+    proto::InstrumentKind kind;
+  };
   // Dense symbol handles: the session hot path stores u16 indexes instead
   // of 6-byte symbols and resolves books through one vector load.
   std::unordered_map<proto::Symbol, std::uint16_t> symbol_idx_;
-  std::vector<book::OrderBook*> book_ptrs_;
+  std::vector<Listing> listings_;
 
   // Connections live for the exchange's lifetime (dead ones stay as
   // post-mortem records) so in-flight matcher events can never dangle.

@@ -315,11 +315,11 @@ void LoadGen::handle_message(std::uint32_t session, const proto::boe::Decoded& d
     return;
   }
   if (std::get_if<Heartbeat>(&decoded.message) != nullptr) {
+    // Answering refreshes the exchange's liveness timer; the exchange never
+    // replies to heartbeats, so there is no ping-pong.
     ++stats_.heartbeats_seen;
-    if (config_.answer_heartbeats) {
-      ++stats_.heartbeats_answered;
-      send(session, Heartbeat{});
-    }
+    ++stats_.heartbeats_answered;
+    send(session, Heartbeat{});
     return;
   }
   if (const auto* accepted = std::get_if<OrderAccepted>(&decoded.message)) {
@@ -361,9 +361,9 @@ void LoadGen::handle_message(std::uint32_t session, const proto::boe::Decoded& d
         ++stats_.cancels_acked;
       } else {
         // Unsolicited: the exchange's cancel-on-disconnect sweep. Remember
-        // the parameters so the reconnect can re-rest the order.
+        // the parameters so the reconnect can re-rest the order (fresh id).
         ++stats_.cod_cancels_seen;
-        if (config_.resubmit_cod && sess.cod_count < kMaxOpen) {
+        if (sess.cod_count < kMaxOpen) {
           sess.cod_resub[sess.cod_count++] = sess.open[i];
         }
       }

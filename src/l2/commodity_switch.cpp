@@ -209,15 +209,7 @@ void CommoditySwitch::forward_multicast(const net::PacketPtr& packet, net::Ipv4A
     }
   }
   if (out.empty()) {
-    if (entry.ports == nullptr && config_.flood_unknown_multicast) {
-      // Flood out of every attached port except the ingress.
-      for (net::PortId p = 0; p < egress_.size(); ++p) {
-        if (egress_[p] != nullptr) out.push_back(p);
-      }
-      replicate(packet, out, in_port, config_.forwarding_latency);
-      ++stats_.multicast_hw_forwarded;
-      return;
-    }
+    // Frames to unknown multicast groups are dropped (snooping, no flood).
     ++stats_.no_group_drops;
     return;
   }

@@ -2,24 +2,9 @@
 
 #include <utility>
 
-#include "core/check.hpp"
 #include "sim/sharded_engine.hpp"
 
 namespace tsn::sim {
-
-// tsn-lint: hotpath
-EventHandle Domain::schedule_at(Time at, Action action) {
-  if (at < now_) at = now_;
-  return queue_.push(at, (*seq_)++, std::move(action));
-}
-
-// tsn-lint: hotpath
-bool Domain::cancel(EventHandle handle) {
-  TSN_DCHECK(!handle.valid() || handle.domain() == id_,
-             "cancelling an event through the wrong domain's scheduler");
-  if (handle.valid() && handle.domain() != id_) return false;
-  return queue_.cancel(handle);
-}
 
 void Domain::post_to(DomainId dst, Time at, Action action) {
   parent_->post(id_, dst, at, std::move(action));
@@ -30,12 +15,8 @@ std::uint64_t Domain::run_window(Time window_end) {
   // window: every span a worker-run event records lands in the shard's own
   // sink instead of vanishing with the worker's empty thread-local.
   if (context_ != nullptr) context_->enter();
-  std::uint64_t count = 0;
-  while (true) {
-    const EventQueue::HeapEntry* next = queue_.peek_live();
-    if (next == nullptr || next->at >= window_end) break;
-    if (queue_.pop_one(now_, fired_)) ++count;
-  }
+  static constexpr bool kNeverStop = false;
+  const std::uint64_t count = run_before(window_end, kNeverStop);
   if (context_ != nullptr) context_->leave();
   return count;
 }

@@ -1,5 +1,5 @@
-// One shard of a `ShardedEngine`: a per-region event queue with its own
-// clock, behind the same `Scheduler` interface as the single-threaded
+// One shard of a `ShardedEngine`: a `Scheduler` (per-region event queue
+// with its own clock) that the parent engine runs, like the single-threaded
 // `Engine`.
 //
 // Components constructed against a Domain's `Scheduler&` are confined to
@@ -14,7 +14,6 @@
 
 #include <cstdint>
 
-#include "sim/event_queue.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/time.hpp"
 
@@ -43,28 +42,11 @@ class ShardContext {
 
 class Domain final : public Scheduler {
  public:
-  [[nodiscard]] Time now() const noexcept override { return now_; }
-
-  // Schedules onto this shard's queue. Same-instant events fire in
-  // scheduling order via the sequence counter (shared across shards in
-  // golden mode; per-shard in windowed mode).
-  EventHandle schedule_at(Time at, Action action) override;
-
-  // O(1) generation-checked cancel. A handle minted by another domain is a
-  // TSN_DCHECK failure (it would index an unrelated slot on this shard's
-  // pool) and returns false in release builds.
-  bool cancel(EventHandle handle) override;
-
-  [[nodiscard]] DomainId domain_id() const noexcept override { return id_; }
-
   // Hands `action` to domain `dst` for execution at absolute time `at`.
   // The one legal way to cross shards. `at` must respect the engine's
   // lookahead: at >= now() + lookahead, which cross-domain link bridges
   // guarantee because their propagation delay is a lookahead bound.
   void post_to(DomainId dst, Time at, Action action);
-
-  // Pre-warms this shard's pool slabs and heap vector.
-  void reserve(std::size_t events) { queue_.reserve(events); }
 
   // Installs (or clears, with nullptr) the shard-local execution context.
   // Both run modes bracket this domain's event execution with it, so e.g. a
@@ -74,17 +56,10 @@ class Domain final : public Scheduler {
   void set_context(ShardContext* context) noexcept { context_ = context; }
   [[nodiscard]] ShardContext* context() const noexcept { return context_; }
 
-  [[nodiscard]] std::size_t pending_events() const noexcept { return queue_.live(); }
-  [[nodiscard]] std::uint64_t events_fired() const noexcept { return fired_; }
-  [[nodiscard]] std::size_t pool_capacity() const noexcept { return queue_.pool_capacity(); }
-  [[nodiscard]] std::size_t pool_in_use() const noexcept { return queue_.pool_in_use(); }
-  [[nodiscard]] std::size_t heap_entries() const noexcept { return queue_.heap_entries(); }
-
  private:
   friend class ShardedEngine;
 
-  Domain(ShardedEngine& parent, DomainId id) noexcept
-      : queue_(id), parent_(&parent), id_(id) {}
+  Domain(ShardedEngine& parent, DomainId id) noexcept : Scheduler(id), parent_(&parent) {}
 
   // Runs every event with time < window_end (exclusive — conservative
   // lookahead guarantees no cross-shard effect can land inside the window).
@@ -112,17 +87,8 @@ class Domain final : public Scheduler {
   // Next live event's (at, seq), or nullptr when the shard is idle.
   [[nodiscard]] const EventQueue::HeapEntry* peek() { return queue_.peek_live(); }
 
-  EventQueue queue_;
   ShardedEngine* parent_;
-  Time now_ = Time::zero();
-  std::uint64_t own_seq_ = 1;
-  // Golden mode points every shard at one shared counter so the merged
-  // execution is byte-identical to a plain Engine; windowed mode points each
-  // shard back at its own.
-  std::uint64_t* seq_ = &own_seq_;
-  std::uint64_t fired_ = 0;
   ShardContext* context_ = nullptr;
-  DomainId id_ = kMainDomain;
 };
 
 }  // namespace tsn::sim

@@ -1,27 +1,22 @@
 // The discrete-event simulation engine (single-threaded golden reference).
 //
-// A single-threaded event loop over a time-ordered queue. Events scheduled
-// for the same instant fire in scheduling order (a monotonically increasing
-// sequence number breaks ties), which makes runs fully deterministic.
-//
-// `Engine` is one of two `Scheduler` implementations — the other is
-// `Domain` (sim/domain.hpp), one shard of a parallel `ShardedEngine`. The
-// engine is the golden reference the sharded runtime must match: a
-// ShardedEngine run with one worker is byte-identical to an Engine run of
-// the same topology.
+// A single-threaded event loop over the `Scheduler`'s time-ordered queue.
+// `Engine` adds only the run loops and a stop flag; the other `Scheduler`
+// subclass is `Domain` (sim/domain.hpp), one shard of a parallel
+// `ShardedEngine`. The engine is the golden reference the sharded runtime
+// must match: a golden-mode ShardedEngine run is byte-identical to an
+// Engine run of the same topology.
 //
 // Hot-path memory model: actions are stored in pooled, slab-allocated slots
 // (`EventPool`) as `InlineAction`s — no heap allocation per event once the
 // pool and the heap vector are warm. Cancellation is genuinely O(1): a
 // handle names (slot, generation); cancelling releases the slot immediately
 // and leaves a stale heap entry, which the queue prunes when it surfaces or
-// compacts away in bulk once stale entries outnumber live ones. The queue
-// core lives in sim/event_queue.hpp, shared with `Domain`.
+// compacts away in bulk once stale entries outnumber live ones.
 #pragma once
 
 #include <cstdint>
 
-#include "sim/event_queue.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/time.hpp"
 
@@ -31,21 +26,6 @@ class Engine final : public Scheduler {
  public:
   Engine() = default;
 
-  // Current simulation time. Monotonically non-decreasing.
-  [[nodiscard]] Time now() const noexcept override { return now_; }
-
-  // Schedules `action` to run at absolute time `at`. Scheduling into the
-  // past clamps to `now()` (the event fires next, after already-due events).
-  EventHandle schedule_at(Time at, Action action) override;
-
-  // Cancels a pending event in O(1). Returns true if the event existed and
-  // had not yet fired; stale handles (fired, already cancelled, or slot
-  // reused) return false.
-  bool cancel(EventHandle handle) override;
-
-  // A plain engine is always the main domain.
-  [[nodiscard]] DomainId domain_id() const noexcept override { return kMainDomain; }
-
   // Runs until the queue drains. Returns the number of events fired.
   std::uint64_t run();
 
@@ -54,27 +34,12 @@ class Engine final : public Scheduler {
   std::uint64_t run_until(Time deadline);
 
   // Runs exactly one event, if any. Returns true if one fired.
-  bool step();
+  bool step() { return queue_.pop_one(now_, fired_); }
 
   // Stops a run() / run_until() in progress after the current event.
   void request_stop() noexcept { stop_requested_ = true; }
 
-  // Pre-warms pool slabs and the heap vector for `events` concurrent
-  // pending events, so bursts (Fig 2c) hit no allocation at schedule time.
-  void reserve(std::size_t events) { queue_.reserve(events); }
-
-  [[nodiscard]] std::size_t pending_events() const noexcept { return queue_.live(); }
-  [[nodiscard]] std::uint64_t events_fired() const noexcept { return fired_; }
-  // Pool introspection (tests and capacity planning).
-  [[nodiscard]] std::size_t pool_capacity() const noexcept { return queue_.pool_capacity(); }
-  [[nodiscard]] std::size_t pool_in_use() const noexcept { return queue_.pool_in_use(); }
-  [[nodiscard]] std::size_t heap_entries() const noexcept { return queue_.heap_entries(); }
-
  private:
-  EventQueue queue_{kMainDomain};
-  Time now_ = Time::zero();
-  std::uint64_t next_seq_ = 1;
-  std::uint64_t fired_ = 0;
   bool stop_requested_ = false;
 };
 

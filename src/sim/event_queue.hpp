@@ -1,4 +1,4 @@
-// The time-ordered event queue core shared by `Engine` and `Domain`.
+// The time-ordered event queue core under every `Scheduler`.
 //
 // Pooled slab-allocated slots (`EventPool`), a binary heap of small entries,
 // and O(1) generation-checked cancellation. A cancelled event's heap entry
@@ -18,10 +18,34 @@
 #include "core/check.hpp"
 #include "sim/action.hpp"
 #include "sim/event_pool.hpp"
-#include "sim/scheduler.hpp"
 #include "sim/time.hpp"
 
 namespace tsn::sim {
+
+// Identifies one event-queue shard. A plain `Engine` is always domain 0.
+using DomainId = std::uint16_t;
+inline constexpr DomainId kMainDomain = 0;
+
+// Opaque handle for cancelling a scheduled event. Generation-checked: a
+// handle kept past its event's firing (or past a cancel) goes stale and all
+// later cancels through it return false, even after the slot is reused.
+class EventHandle {
+ public:
+  EventHandle() noexcept = default;
+
+  [[nodiscard]] bool valid() const noexcept { return generation_ != 0; }
+  // Which shard the event lives on. Handles may only be cancelled through
+  // the scheduler of the same domain.
+  [[nodiscard]] DomainId domain() const noexcept { return domain_; }
+
+ private:
+  friend class EventQueue;
+  EventHandle(std::uint32_t slot, std::uint32_t generation, DomainId domain) noexcept
+      : slot_(slot), generation_(generation), domain_(domain) {}
+  std::uint32_t slot_ = 0;
+  std::uint32_t generation_ = 0;
+  DomainId domain_ = kMainDomain;
+};
 
 class EventQueue {
  public:
@@ -87,8 +111,11 @@ class EventQueue {
 
   // Pops the next live event, advances `now` to its timestamp, bumps
   // `fired`, and invokes the action. Returns false if the queue is empty.
+  // Forced inline: it is the body of every run loop. Left to GCC 12's
+  // heuristics (Release) it was inlined into some loops and called from
+  // others, ~2% per event on the windowed sharded-market run.
   // tsn-lint: hotpath
-  bool pop_one(Time& now, std::uint64_t& fired) {
+  [[gnu::always_inline]] bool pop_one(Time& now, std::uint64_t& fired) {
     const HeapEntry* top = peek_live();
     if (top == nullptr) return false;
     const HeapEntry entry = *top;
@@ -115,7 +142,6 @@ class EventQueue {
     heap_.reserve(events);
   }
 
-  [[nodiscard]] DomainId domain() const noexcept { return domain_; }
   [[nodiscard]] std::size_t live() const noexcept { return live_; }
   [[nodiscard]] std::size_t pool_capacity() const noexcept { return pool_.capacity(); }
   [[nodiscard]] std::size_t pool_in_use() const noexcept { return pool_.in_use(); }

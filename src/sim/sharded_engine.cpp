@@ -7,23 +7,10 @@
 
 namespace tsn::sim {
 
-namespace {
-
-// Saturating `base + delta` so a max() lookahead (no cross-domain traffic)
-// means "run everything up to the deadline in one window".
-[[nodiscard]] Time saturating_add(Time base, Duration delta) noexcept {
-  if (delta.picos() >= Time::max().picos() - base.picos()) return Time::max();
-  return base + delta;
-}
-
-}  // namespace
-
 ShardedEngine::ShardedEngine(ShardedConfig config) : config_(config) {
   TSN_ASSERT(config_.domains >= 1, "a sharded engine needs at least one domain");
   if (config_.num_workers == 0) config_.num_workers = 1;
-  golden_ = config_.mode == SyncMode::kGolden ||
-            (config_.mode == SyncMode::kAuto && config_.num_workers <= 1);
-  lookahead_ = config_.lookahead;
+  golden_ = config_.mode == SyncMode::kGolden;
   domains_.reserve(config_.domains);
   for (std::uint32_t i = 0; i < config_.domains; ++i) {
     domains_.emplace_back(new Domain(*this, static_cast<DomainId>(i)));
@@ -57,7 +44,7 @@ void ShardedEngine::reserve(std::size_t events_per_domain) {
 
 std::uint64_t ShardedEngine::events_fired() const noexcept {
   std::uint64_t total = 0;
-  for (const auto& d : domains_) total += d->fired_;
+  for (const auto& d : domains_) total += d->events_fired();
   return total;
 }
 
@@ -69,14 +56,14 @@ std::size_t ShardedEngine::pending_events() const noexcept {
 
 Time ShardedEngine::now() const noexcept {
   Time earliest = Time::max();
-  for (const auto& d : domains_) earliest = std::min(earliest, d->now_);
+  for (const auto& d : domains_) earliest = std::min(earliest, d->now());
   return earliest;
 }
 
 void ShardedEngine::post(DomainId src, DomainId dst, Time at, InlineAction action) {
   TSN_ASSERT(dst < domains_.size(), "post_to an unknown domain");
   Domain& source = *domains_[src];
-  TSN_DCHECK(lookahead_ == Duration::max() || at - source.now_ >= lookahead_,
+  TSN_DCHECK(lookahead_ == Duration::max() || at - source.now() >= lookahead_,
              "post_to inside the lookahead window breaks conservative sync");
   if (golden_) {
     // Merged mode: deliver immediately, drawing from the shared counter at
@@ -88,7 +75,7 @@ void ShardedEngine::post(DomainId src, DomainId dst, Time at, InlineAction actio
     return;
   }
   std::vector<Post>& box = mailbox(src, dst);
-  box.push_back(Post{at, source.now_, box.size(), std::move(action)});
+  box.push_back(Post{at, source.now(), box.size(), std::move(action)});
 }
 
 std::uint64_t ShardedEngine::run_until(Time deadline) {

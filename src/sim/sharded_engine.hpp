@@ -29,11 +29,11 @@
 //              (send time, source domain, per-source index) so results are
 //              identical for any worker count and across repeat runs.
 //
-// kAuto picks kGolden when num_workers <= 1, else kWindowed. End-state
-// digests (book state, positions, metrics counters) of a windowed run match
-// the golden run; the event *interleaving* (and therefore e.g. trace-span
-// ordering across domains) may differ between modes, which is why digests —
-// not byte streams — are the cross-mode contract.
+// Golden is the default mode. End-state digests (book state, positions,
+// metrics counters) of a windowed run match the golden run; the event
+// *interleaving* (and therefore e.g. trace-span ordering across domains) may
+// differ between modes, which is why digests — not byte streams — are the
+// cross-mode contract.
 #pragma once
 
 #include <atomic>
@@ -49,7 +49,6 @@
 namespace tsn::sim {
 
 enum class SyncMode : std::uint8_t {
-  kAuto,      // golden when num_workers <= 1, windowed otherwise
   kGolden,    // merged single-threaded reference execution
   kWindowed,  // parallel lookahead windows
 };
@@ -57,13 +56,9 @@ enum class SyncMode : std::uint8_t {
 struct ShardedConfig {
   std::uint32_t domains = 1;
   // Worker threads for windowed mode. 1 keeps everything on the calling
-  // thread (still windowed execution if mode forces it).
+  // thread (still windowed execution). Golden mode ignores it.
   std::uint32_t num_workers = 1;
-  SyncMode mode = SyncMode::kAuto;
-  // Upper bound on the lookahead window; tightened to the minimum
-  // cross-domain propagation delay by note_cross_domain_delay(). Left at
-  // max() (no cross-domain traffic), domains free-run to the deadline.
-  Duration lookahead = Duration::max();
+  SyncMode mode = SyncMode::kGolden;
 };
 
 class ShardedEngine {
@@ -78,7 +73,9 @@ class ShardedEngine {
 
   // Registers a cross-domain delivery latency (e.g. a bridge link's
   // propagation delay). The lookahead window is the minimum of all
-  // registered delays; every post_to must honor it.
+  // registered delays; every post_to must honor it. With none registered
+  // (no cross-domain traffic) it stays at max() and domains free-run to the
+  // deadline.
   void note_cross_domain_delay(Duration delay);
   [[nodiscard]] Duration lookahead() const noexcept { return lookahead_; }
 

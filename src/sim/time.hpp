@@ -132,6 +132,12 @@ class Time {
 [[nodiscard]] constexpr Duration operator-(Time a, Time b) noexcept {
   return Duration{a.picos() - b.picos()};
 }
+// `base + delta` clamped to Time::max(), so a max() window means "run
+// everything up to the deadline".
+[[nodiscard]] constexpr Time saturating_add(Time base, Duration delta) noexcept {
+  if (delta.picos() >= Time::max().picos() - base.picos()) return Time::max();
+  return base + delta;
+}
 
 // Renders a duration with an auto-selected unit, e.g. "512 ns" or "1.2 us".
 [[nodiscard]] std::string to_string(Duration d);

@@ -44,7 +44,6 @@ struct GatewayConfig {
   net::Ipv4Addr upstream_ip;
   // Pre-trade risk gate (§4.2: firm-wide position and risk tracking sits
   // where every order passes).
-  bool enable_risk_checks = true;
   RiskLimits risk_limits;
   // When positive, the gateway keeps its exchange session alive with idle
   // heartbeats (exchanges enforce session timeouts; see Exchange's
@@ -57,7 +56,6 @@ struct GatewayConfig {
   // Reconnect state machine: on connection death, back off exponentially
   // (with deterministic jitter from reconnect_jitter_seed), re-login, and
   // reconcile in-flight orders through replay + idempotent resubmission.
-  bool reconnect_enabled = true;
   // Hot-standby exchanges: reconnect attempt 1 retries the primary, later
   // attempts rotate through primary and backups, so a promoted standby is
   // found within a bounded number of backoff steps.

@@ -97,7 +97,8 @@ TEST(ShardDrills, CrossPartitionFeedReachesTheObservers) {
   // The ring actually carries data: every observer decodes the previous
   // partition's feed gap-free and reconstructs its books.
   const deploy::ShardedMarketConfig config = drill_market();
-  sim::ShardedEngine engine{{.domains = config.partitions, .num_workers = 4}};
+  sim::ShardedEngine engine{
+      {.domains = config.partitions, .num_workers = 4, .mode = sim::SyncMode::kWindowed}};
   deploy::ShardedMarket market{engine, config};
   market.run();
   for (std::size_t p = 0; p < config.partitions; ++p) {

@@ -72,6 +72,15 @@ TEST(Exchange, RequiresPartitioning) {
   EXPECT_THROW(Exchange(engine, std::move(config)), std::invalid_argument);
 }
 
+TEST(Exchange, DuplicateSymbolIsRejected) {
+  // One book per symbol: a second listing would otherwise leave a handle
+  // naming a book that was never kept.
+  sim::Engine engine;
+  ExchangeConfig config = base_config();
+  config.symbols.push_back(config.symbols.front());
+  EXPECT_THROW(Exchange(engine, std::move(config)), std::invalid_argument);
+}
+
 TEST(Exchange, BookChangesArePublishedAsPitch) {
   ExchangeRig rig;
   auto& book = rig.exchange.book(proto::Symbol{"AAA"});

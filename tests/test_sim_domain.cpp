@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -21,6 +22,10 @@ namespace tsn::sim {
 namespace {
 
 constexpr Duration kHop = nanos(std::int64_t{5});
+
+// One concrete scheduler: no vtable, so every schedule_at / cancel through a
+// `Scheduler&` is a direct call.
+static_assert(!std::is_polymorphic_v<Scheduler>);
 
 // One executed event: (fire time in picos, scripted tag). Byte-identity
 // between two runs means these sequences compare equal element-for-element.
