@@ -1,17 +1,8 @@
 #include "deploy/reference.hpp"
 
-#include <functional>
 #include <string>
 
 namespace tsn::deploy {
-
-namespace {
-
-// Addressing callback: (rack, index) -> IP. Leaf-spine uses its rack
-// subnets; the L1S fabric uses a flat space.
-using Addresser = std::function<net::Ipv4Addr(std::size_t rack, std::size_t index)>;
-
-}  // namespace
 
 Deployment::Deployment(DeploymentConfig config) : config_(config) {}
 
@@ -22,19 +13,7 @@ void Deployment::start() {
   engine_.run();
 }
 
-void Deployment::run(sim::Duration duration) {
-  if (!driver_) {
-    exchange::ActivityConfig activity;
-    activity.events_per_second = config_.events_per_second;
-    activity.cross_weight = 0.2;
-    driver_ = std::make_unique<exchange::MarketActivityDriver>(*exchange_, activity,
-                                                               config_.seed);
-  }
-  driver_->run_until(engine_.now() + duration);
-  engine_.run();
-}
-
-void Deployment::run_bounded(sim::Duration activity, sim::Duration drain) {
+void Deployment::drive(sim::Duration activity) {
   if (!driver_) {
     exchange::ActivityConfig activity_config;
     activity_config.events_per_second = config_.events_per_second;
@@ -43,6 +22,15 @@ void Deployment::run_bounded(sim::Duration activity, sim::Duration drain) {
                                                                config_.seed);
   }
   driver_->run_until(engine_.now() + activity);
+}
+
+void Deployment::run(sim::Duration duration) {
+  drive(duration);
+  engine_.run();
+}
+
+void Deployment::run_bounded(sim::Duration activity, sim::Duration drain) {
+  drive(activity);
   engine_.run_until(engine_.now() + activity + drain);
 }
 
@@ -95,85 +83,71 @@ void QuadL1sDeployment::register_metrics(telemetry::Registry& registry) const {
   }
 }
 
-namespace {
-
-struct BuiltApps {
-  std::unique_ptr<exchange::Exchange> exchange;
-  std::unique_ptr<trading::Normalizer> normalizer;
-  std::unique_ptr<trading::Gateway> gateway;
-  std::vector<std::unique_ptr<trading::MomentumTaker>> strategies;
-};
-
-BuiltApps build_apps(sim::Scheduler& engine, const DeploymentConfig& config,
-                     const Addresser& address, std::uint32_t& next_host_id) {
-  BuiltApps apps;
-  auto next_mac = [&next_host_id] { return net::MacAddr::from_host_id(next_host_id++); };
+void Deployment::build_apps(const Addresser& address) {
+  auto next_mac = [this] { return net::MacAddr::from_host_id(next_host_id_++); };
 
   exchange::ExchangeConfig xconfig;
   xconfig.name = "EXCH";
   xconfig.exchange_id = 1;
-  for (std::size_t i = 0; i < config.symbol_count; ++i) {
+  for (std::size_t i = 0; i < config_.symbol_count; ++i) {
     xconfig.symbols.push_back({proto::Symbol{"SY" + std::to_string(i)},
                                proto::InstrumentKind::kEquity,
                                proto::price_from_dollars(50.0 + static_cast<double>(i) * 7.0)});
   }
-  xconfig.feed_partitioning = std::make_shared<proto::HashPartition>(config.exchange_units);
+  xconfig.feed_partitioning = std::make_shared<proto::HashPartition>(config_.exchange_units);
   xconfig.feed_mac = next_mac();
   xconfig.feed_ip = address(0, 0);
   xconfig.order_mac = next_mac();
   xconfig.order_ip = address(0, 1);
-  apps.exchange = std::make_unique<exchange::Exchange>(engine, xconfig);
+  exchange_ = std::make_unique<exchange::Exchange>(engine_, xconfig);
 
   trading::NormalizerConfig nconfig;
   nconfig.name = "norm";
   nconfig.exchange_id = 1;
-  for (std::uint8_t u = 0; u < apps.exchange->unit_count(); ++u) {
-    nconfig.feed_groups.push_back(apps.exchange->unit_group(u));
+  for (std::uint8_t u = 0; u < exchange_->unit_count(); ++u) {
+    nconfig.feed_groups.push_back(exchange_->unit_group(u));
   }
   nconfig.feed_port = xconfig.feed_port;
-  nconfig.partitioning = std::make_shared<proto::HashPartition>(config.norm_partitions);
-  nconfig.software_latency = config.software_latency;
+  nconfig.partitioning = std::make_shared<proto::HashPartition>(config_.norm_partitions);
+  nconfig.software_latency = config_.software_latency;
   nconfig.in_mac = next_mac();
   nconfig.in_ip = address(1, 0);
   nconfig.out_mac = next_mac();
   nconfig.out_ip = address(1, 1);
-  apps.normalizer = std::make_unique<trading::Normalizer>(engine, nconfig);
+  normalizer_ = std::make_unique<trading::Normalizer>(engine_, nconfig);
 
   trading::GatewayConfig gconfig;
   gconfig.name = "gw";
   gconfig.exchange_mac = xconfig.order_mac;
   gconfig.exchange_ip = xconfig.order_ip;
   gconfig.exchange_port = xconfig.order_port;
-  gconfig.software_latency = config.software_latency;
+  gconfig.software_latency = config_.software_latency;
   gconfig.client_mac = next_mac();
   gconfig.client_ip = address(3, 0);
   gconfig.upstream_mac = next_mac();
   gconfig.upstream_ip = address(3, 1);
-  apps.gateway = std::make_unique<trading::Gateway>(engine, gconfig);
+  gateway_ = std::make_unique<trading::Gateway>(engine_, gconfig);
 
-  for (std::size_t s = 0; s < config.strategy_count; ++s) {
+  for (std::size_t s = 0; s < config_.strategy_count; ++s) {
     trading::StrategyConfig sconfig;
     sconfig.name = "strat" + std::to_string(s);
-    for (std::uint32_t p = 0; p < config.norm_partitions; ++p) {
-      sconfig.subscriptions.push_back(apps.normalizer->partition_group(p));
+    for (std::uint32_t p = 0; p < config_.norm_partitions; ++p) {
+      sconfig.subscriptions.push_back(normalizer_->partition_group(p));
     }
     sconfig.norm_port = nconfig.out_port;
     sconfig.gateway_mac = gconfig.client_mac;
     sconfig.gateway_ip = gconfig.client_ip;
     sconfig.gateway_port = gconfig.listen_port;
-    sconfig.decision_latency = config.decision_latency;
-    sconfig.software_latency = config.software_latency;
+    sconfig.decision_latency = config_.decision_latency;
+    sconfig.software_latency = config_.software_latency;
     sconfig.md_mac = next_mac();
     sconfig.md_ip = address(2, 2 * s);
     sconfig.order_mac = next_mac();
     sconfig.order_ip = address(2, 2 * s + 1);
-    apps.strategies.push_back(std::make_unique<trading::MomentumTaker>(
-        engine, sconfig, config.momentum_tick, 100));
+    strategies_.push_back(std::make_unique<trading::MomentumTaker>(
+        engine_, sconfig, config_.momentum_tick, 100));
   }
-  return apps;
 }
-
-}  // namespace
 
 topo::LeafSpineConfig LeafSpineDeployment::default_topo() {
   topo::LeafSpineConfig config;
@@ -187,11 +161,7 @@ LeafSpineDeployment::LeafSpineDeployment(DeploymentConfig config,
                                          topo::LeafSpineConfig topo_config)
     : Deployment(config) {
   topo_ = std::make_unique<topo::LeafSpineFabric>(fabric_, topo_config);
-  auto apps = build_apps(engine_, config_, topo::LeafSpineFabric::host_ip, next_host_id_);
-  exchange_ = std::move(apps.exchange);
-  normalizer_ = std::move(apps.normalizer);
-  gateway_ = std::move(apps.gateway);
-  strategies_ = std::move(apps.strategies);
+  build_apps(topo::LeafSpineFabric::host_ip);
 
   topo_->attach_host(0, exchange_->feed_nic());
   topo_->attach_host(0, exchange_->order_nic());
@@ -213,11 +183,7 @@ QuadL1sDeployment::QuadL1sDeployment(DeploymentConfig config, topo::QuadL1Config
     return net::Ipv4Addr{10, 9, static_cast<std::uint8_t>(rack),
                          static_cast<std::uint8_t>(index + 1)};
   };
-  auto apps = build_apps(engine_, config_, address, next_host_id_);
-  exchange_ = std::move(apps.exchange);
-  normalizer_ = std::move(apps.normalizer);
-  gateway_ = std::move(apps.gateway);
-  strategies_ = std::move(apps.strategies);
+  build_apps(address);
 
   using topo::Stage;
   // Stage 1: exchange feed -> normalizer.

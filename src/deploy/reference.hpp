@@ -4,6 +4,7 @@
 // these instead of re-wiring the pipeline by hand.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -79,7 +80,18 @@ class Deployment {
   [[nodiscard]] const DeploymentConfig& config() const noexcept { return config_; }
 
  protected:
+  // Addressing callback: (rack, index) -> IP. Leaf-spine uses its rack
+  // subnets, the L1S fabric a flat space, multi-colo one /16 per site.
+  using Addresser = std::function<net::Ipv4Addr(std::size_t rack, std::size_t index)>;
+
   explicit Deployment(DeploymentConfig config);
+
+  // Builds the application boxes (exchange = rack 0, normalizer rack 1,
+  // strategies rack 2, gateway rack 3), drawing MACs from next_host_id_.
+  // Subclasses then wire them onto their fabric.
+  void build_apps(const Addresser& address);
+  // Runs the background activity driver (built on first use) for `activity`.
+  void drive(sim::Duration activity);
 
   sim::Engine engine_;
   net::Fabric fabric_{engine_};

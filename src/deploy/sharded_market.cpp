@@ -6,26 +6,21 @@
 #include "core/check.hpp"
 #include "net/bridge.hpp"
 #include "proto/partition.hpp"
+#include "sim/digest.hpp"
 
 namespace tsn::deploy {
 
 namespace {
 
-// FNV-1a folding for the end-state digest. Everything funnels through
-// 64-bit mixes so the digest is layout- and padding-independent.
-struct Digest {
-  std::uint64_t hash = 1469598103934665603ull;
+using sim::Digest;
 
-  void mix(std::uint64_t value) noexcept {
-    for (int i = 0; i < 8; ++i) {
-      hash ^= (value >> (i * 8)) & 0xff;
-      hash *= 1099511628211ull;
-    }
-  }
-  void mix_price(std::optional<proto::Price> price) noexcept {
-    mix(price ? static_cast<std::uint64_t>(*price) + 1 : 0);
-  }
-};
+// The FNV offset basis with its last decimal digit dropped: the seed this
+// digest has always started from, kept so pinned shard digests stand.
+constexpr std::uint64_t kShardDigestSeed = 1469598103934665603ULL;
+
+void mix_price(Digest& d, std::optional<proto::Price> price) noexcept {
+  d.mix(price ? static_cast<std::uint64_t>(*price) + 1 : 0);
+}
 
 void mix_exchange(Digest& d, exchange::Exchange& exch) {
   const exchange::ExchangeStats& s = exch.stats();
@@ -40,9 +35,9 @@ void mix_exchange(Digest& d, exchange::Exchange& exch) {
   for (const exchange::SymbolSpec& spec : exch.config().symbols) {
     book::OrderBook& book = exch.book(spec.symbol);
     const book::BestQuote best = book.best();
-    d.mix_price(best.bid_price);
+    mix_price(d, best.bid_price);
     d.mix(best.bid_quantity);
-    d.mix_price(best.ask_price);
+    mix_price(d, best.ask_price);
     d.mix(best.ask_quantity);
     d.mix(book.open_orders());
     d.mix(book.bid_levels());
@@ -239,7 +234,7 @@ void ShardedMarket::run() {
 }
 
 std::uint64_t ShardedMarket::digest() {
-  Digest d;
+  Digest d{kShardDigestSeed};
   for (std::size_t p = 0; p < partitions_.size(); ++p) {
     Partition& partition = *partitions_[p];
     d.mix(p);

@@ -5,6 +5,7 @@
 #include <tuple>
 #include <utility>
 
+#include "sim/digest.hpp"
 #include "telemetry/trace.hpp"
 
 namespace tsn::exchange {
@@ -70,6 +71,12 @@ struct Exchange::Connection {
   std::uint32_t live_prev = SessionStore::kNullSlot;
   std::uint32_t live_next = SessionStore::kNullSlot;
   bool in_unbound_list = false;
+
+  // Can carry bytes: not declared dead, and either direct or an
+  // established TCP leg.
+  [[nodiscard]] bool up() const noexcept {
+    return !dead && (endpoint == nullptr || endpoint->state() == net::TcpState::kEstablished);
+  }
 };
 
 // Converts book events for one symbol into feed messages and fills.
@@ -312,18 +319,16 @@ void Exchange::start_heartbeats() {
 }
 
 void Exchange::check_liveness(Connection& conn, sim::Time now) {
+  if (!conn.up()) return;
   const auto idle = now - conn.last_rx;
   if (idle > config_.session_timeout) {
     // A dead counterparty: drop the connection and declare the bound
     // session dead — cancel-on-disconnect (when enabled) pulls its
     // resting orders and journals the cancels for replay at re-login.
-    conn.dead = true;
-    if (conn.in_unbound_list) unlink_unbound(conn);
+    // Neither leg kind calls back into the exchange from close_leg.
     close_leg(conn);
     ++stats_.sessions_timed_out;
-    if (conn.session != SessionStore::kNullSlot && store_.conn(conn.session) == conn.index) {
-      declare_session_dead(conn.session);
-    }
+    on_leg_closed(conn);
     return;
   }
   if (idle > config_.heartbeat_interval) {
@@ -335,42 +340,34 @@ void Exchange::check_liveness(Connection& conn, sim::Time now) {
 void Exchange::heartbeat_tick() {
   if (halted_) return;  // stops liveness sweeps; nothing reschedules them
   const sim::Time now = engine_.now();
-  if (!config_.sharded_liveness_sweep) {
-    // Legacy sweep: every connection, every tick — PR 5's exact semantics.
-    for (auto& conn : connections_) {
-      if (conn->dead) continue;
-      if (conn->endpoint != nullptr && conn->endpoint->state() != net::TcpState::kEstablished) {
-        continue;
-      }
-      check_liveness(*conn, now);
-    }
-  } else {
-    // O(shard) sweep: pre-login legs every tick (they are few and
-    // short-lived), bound sessions one directory shard per tick in bind
-    // order. Collect first — a timeout kill unbinds mid-walk.
-    for (std::uint32_t ci = unbound_head_; ci != SessionStore::kNullSlot;) {
-      Connection& conn = *connections_[ci];
-      ci = conn.live_next;  // the kill path unlinks `conn`
-      if (conn.dead) continue;
-      if (conn.endpoint != nullptr && conn.endpoint->state() != net::TcpState::kEstablished) {
-        continue;
-      }
-      check_liveness(conn, now);
-    }
-    const std::uint32_t shard = sweep_cursor_++ & (store_.shard_count() - 1);
-    scratch_sweep_.clear();
+  // One walk: pre-login legs every tick (they are few and short-lived),
+  // then the bound sessions of a shard range in bind order — one
+  // directory shard per tick when sharded_liveness_sweep is set, every
+  // shard otherwise.
+  for (std::uint32_t ci = unbound_head_; ci != SessionStore::kNullSlot;) {
+    Connection& conn = *connections_[ci];
+    ci = conn.live_next;  // the kill path unlinks `conn`
+    check_liveness(conn, now);
+  }
+  std::uint32_t shard = 0;
+  std::uint32_t shard_end = store_.shard_count();
+  if (config_.sharded_liveness_sweep) {
+    shard = sweep_cursor_++ & (shard_end - 1);
+    shard_end = shard + 1;
+  }
+  // Collect first: a timeout kill unbinds mid-walk.
+  scratch_sweep_.clear();
+  for (; shard < shard_end; ++shard) {
     store_.for_each_connected(shard,
                               [this](std::uint32_t slot) { scratch_sweep_.push_back(slot); });
-    for (const std::uint32_t slot : scratch_sweep_) {
-      const std::uint32_t ci = store_.conn(slot);
-      if (ci == SessionStore::kNullSlot) continue;
-      Connection& conn = *connections_[ci];
-      if (conn.dead) continue;
-      if (conn.endpoint != nullptr && conn.endpoint->state() != net::TcpState::kEstablished) {
-        continue;
-      }
-      check_liveness(conn, now);
-    }
+  }
+  for (const std::uint32_t slot : scratch_sweep_) {
+    const std::uint32_t ci = store_.conn(slot);
+    if (ci == SessionStore::kNullSlot) continue;
+    // A connection that logged in twice stays bound to both sessions;
+    // visit it once, through the session it serves now.
+    Connection& conn = *connections_[ci];
+    if (conn.session == slot) check_liveness(conn, now);
   }
   engine_.schedule_in(config_.heartbeat_interval, [this] { heartbeat_tick(); });
 }
@@ -496,14 +493,28 @@ void Exchange::send_bytes(Connection& conn, std::span<const std::byte> bytes) {
   }
 }
 
+Exchange::Connection& Exchange::open_connection(net::TcpEndpoint* endpoint,
+                                                DirectClient* direct) {
+  Connection& conn = *connections_.emplace_back(std::make_unique<Connection>());
+  conn.endpoint = endpoint;
+  conn.direct = direct;
+  conn.index = static_cast<std::uint32_t>(connections_.size() - 1);
+  conn.last_rx = engine_.now();
+  link_unbound(conn);
+  return conn;
+}
+
+void Exchange::on_leg_closed(Connection& conn) {
+  if (conn.dead) return;
+  conn.dead = true;
+  unlink_unbound(conn);
+  if (conn.session != SessionStore::kNullSlot && store_.conn(conn.session) == conn.index) {
+    declare_session_dead(conn.session);
+  }
+}
+
 std::uint32_t Exchange::open_direct(DirectClient& client) {
-  auto conn = std::make_unique<Connection>();
-  conn->direct = &client;
-  conn->index = static_cast<std::uint32_t>(connections_.size());
-  conn->last_rx = engine_.now();
-  connections_.push_back(std::move(conn));
-  link_unbound(*connections_.back());
-  return connections_.back()->index;
+  return open_connection(nullptr, &client).index;
 }
 
 void Exchange::deliver_direct(std::uint32_t conn, const proto::boe::Message& message) {
@@ -519,15 +530,7 @@ void Exchange::deliver_direct(std::uint32_t conn, const proto::boe::Message& mes
   });
 }
 
-void Exchange::close_direct(std::uint32_t conn) {
-  Connection& c = *connections_.at(conn);
-  if (c.dead) return;
-  c.dead = true;
-  if (c.in_unbound_list) unlink_unbound(c);
-  if (c.session != SessionStore::kNullSlot && store_.conn(c.session) == c.index) {
-    declare_session_dead(c.session);
-  }
-}
+void Exchange::close_direct(std::uint32_t conn) { on_leg_closed(*connections_.at(conn)); }
 
 void Exchange::on_accept_session(net::TcpEndpoint& endpoint) {
   if (halted_ || !accepting_) {
@@ -537,13 +540,7 @@ void Exchange::on_accept_session(net::TcpEndpoint& endpoint) {
     endpoint.close();
     return;
   }
-  auto conn = std::make_unique<Connection>();
-  conn->endpoint = &endpoint;
-  conn->index = static_cast<std::uint32_t>(connections_.size());
-  conn->last_rx = engine_.now();
-  Connection* raw = conn.get();
-  connections_.push_back(std::move(conn));
-  link_unbound(*raw);
+  Connection* raw = &open_connection(&endpoint, nullptr);
   endpoint.set_data_handler([this, raw](std::span<const std::byte> bytes, sim::Time arrival) {
     if (raw->dead) return;  // post-mortem bytes from an already-dead leg
     raw->last_rx = engine_.now();
@@ -564,14 +561,7 @@ void Exchange::on_accept_session(net::TcpEndpoint& endpoint) {
       });
     }
   });
-  endpoint.set_closed_handler([this, raw](net::TcpCloseReason) {
-    if (raw->dead) return;
-    raw->dead = true;
-    if (raw->in_unbound_list) unlink_unbound(*raw);
-    if (raw->session != SessionStore::kNullSlot && store_.conn(raw->session) == raw->index) {
-      declare_session_dead(raw->session);
-    }
-  });
+  endpoint.set_closed_handler([this, raw](net::TcpCloseReason) { on_leg_closed(*raw); });
 }
 
 void Exchange::send_conn(Connection& conn, const proto::boe::Message& message) {
@@ -586,12 +576,8 @@ void Exchange::send_app(std::uint32_t session, const proto::boe::Message& messag
   scratch_tx_.clear();
   proto::boe::encode_into(message, seq, scratch_tx_);
   const std::uint32_t ci = store_.conn(session);
-  if (ci != SessionStore::kNullSlot) {
-    Connection& conn = *connections_[ci];
-    if (!conn.dead &&
-        (conn.endpoint == nullptr || conn.endpoint->state() == net::TcpState::kEstablished)) {
-      send_bytes(conn, scratch_tx_);
-    }
+  if (ci != SessionStore::kNullSlot && connections_[ci]->up()) {
+    send_bytes(*connections_[ci], scratch_tx_);
   }
   store_.journal_stage(session, seq, scratch_tx_);
   schedule_journal_flush();
@@ -646,63 +632,44 @@ void Exchange::on_session_message(Connection& conn, const proto::boe::Message& m
   using namespace proto::boe;
   if (const auto* login = std::get_if<LoginRequest>(&message)) {
     handle_login(conn, *login);
-    return;
-  }
-  if (std::get_if<Heartbeat>(&message) != nullptr) {
-    return;  // liveness only: the data handler already refreshed the timer
-  }
-  if (std::get_if<Logout>(&message) != nullptr) {
-    if (conn.session != SessionStore::kNullSlot) {
-      if (input_listener_ != nullptr) {
-        input_listener_->on_admitted_message(store_.session_id(conn.session), message);
-      }
-      store_.set_logged_in(conn.session, false);
-    }
-    return;
-  }
-  if (const auto* replay = std::get_if<ReplayRequest>(&message)) {
+  } else if (const auto* replay = std::get_if<ReplayRequest>(&message)) {
     handle_replay(conn, *replay);
-    return;
+  } else if (conn.session != SessionStore::kNullSlot) {
+    apply_admitted(conn.session, message);
+  } else if (const auto* order = std::get_if<NewOrder>(&message)) {
+    // Order entry before a login is never admitted (nor tapped): it gets
+    // an unsequenced reject, as there is no session to journal it in.
+    ++stats_.orders_received;
+    ++stats_.orders_rejected;
+    send_conn(conn, OrderRejected{order->client_order_id, RejectReason::kNotLoggedIn});
+  } else if (const auto* cancel = std::get_if<CancelOrder>(&message)) {
+    ++stats_.cancels_received;
+    ++stats_.cancel_rejects;
+    send_conn(conn, CancelRejected{cancel->client_order_id, RejectReason::kTooLateToCancel});
+  } else if (const auto* modify = std::get_if<ModifyOrder>(&message)) {
+    send_conn(conn, CancelRejected{modify->client_order_id, RejectReason::kUnknownOrder});
   }
-  if (const auto* order = std::get_if<NewOrder>(&message)) {
-    if (conn.session == SessionStore::kNullSlot) {
-      ++stats_.orders_received;
-      ++stats_.orders_rejected;
-      send_conn(conn, OrderRejected{order->client_order_id, RejectReason::kNotLoggedIn});
-      return;
-    }
-    if (input_listener_ != nullptr) {
-      input_listener_->on_admitted_message(store_.session_id(conn.session), message);
-    }
-    handle_new_order(conn.session, *order);
-    return;
-  }
-  if (const auto* cancel = std::get_if<CancelOrder>(&message)) {
-    if (conn.session == SessionStore::kNullSlot) {
-      ++stats_.cancels_received;
-      ++stats_.cancel_rejects;
-      send_conn(conn, CancelRejected{cancel->client_order_id, RejectReason::kTooLateToCancel});
-      return;
-    }
-    if (input_listener_ != nullptr) {
-      input_listener_->on_admitted_message(store_.session_id(conn.session), message);
-    }
-    handle_cancel(conn.session, *cancel);
-    return;
-  }
-  if (const auto* modify = std::get_if<ModifyOrder>(&message)) {
-    if (conn.session == SessionStore::kNullSlot) {
-      send_conn(conn, CancelRejected{modify->client_order_id, RejectReason::kUnknownOrder});
-      return;
-    }
-    if (input_listener_ != nullptr) {
-      input_listener_->on_admitted_message(store_.session_id(conn.session), message);
-    }
-    handle_modify(conn.session, *modify);
-    return;
-  }
-  // Exchange-to-client message types arriving inbound are protocol errors;
-  // ignore them (a production gateway would reset the session).
+  // Heartbeats are liveness only (the data handler already refreshed the
+  // timer). Exchange-to-client types arriving inbound are protocol errors
+  // and are ignored (a production gateway would reset the session).
+}
+
+// tsn-lint: hotpath
+void Exchange::apply_admitted(std::uint32_t session, const proto::boe::Message& message) {
+  std::visit(
+      [&](const auto& m) {
+        if constexpr (requires { this->admit(session, m); }) {
+          if (input_listener_ != nullptr) {
+            input_listener_->on_admitted_message(store_.session_id(session), message);
+          }
+          admit(session, m);
+        }
+      },
+      message);
+}
+
+void Exchange::admit(std::uint32_t session, const proto::boe::Logout& /*logout*/) {
+  store_.set_logged_in(session, false);
 }
 
 void Exchange::handle_login(Connection& conn, const proto::boe::LoginRequest& login) {
@@ -741,7 +708,7 @@ void Exchange::handle_login(Connection& conn, const proto::boe::LoginRequest& lo
     }
   }
   conn.session = session;
-  if (conn.in_unbound_list) unlink_unbound(conn);
+  unlink_unbound(conn);
   store_.bind(session, conn.index);
   store_.set_logged_in(session, true);
   // Every successful admission (first login, resume, takeover) replicates:
@@ -771,7 +738,7 @@ void Exchange::handle_replay(Connection& conn, const proto::boe::ReplayRequest& 
 }
 
 // tsn-lint: hotpath
-void Exchange::handle_new_order(std::uint32_t session, const proto::boe::NewOrder& request) {
+void Exchange::admit(std::uint32_t session, const proto::boe::NewOrder& request) {
   using namespace proto::boe;
   ++stats_.orders_received;
   auto reject = [&](RejectReason reason) {
@@ -821,7 +788,7 @@ void Exchange::handle_new_order(std::uint32_t session, const proto::boe::NewOrde
 }
 
 // tsn-lint: hotpath
-void Exchange::handle_cancel(std::uint32_t session, const proto::boe::CancelOrder& request) {
+void Exchange::admit(std::uint32_t session, const proto::boe::CancelOrder& request) {
   using namespace proto::boe;
   ++stats_.cancels_received;
   const std::uint32_t order = store_.find_open(session, request.client_order_id);
@@ -842,7 +809,7 @@ void Exchange::handle_cancel(std::uint32_t session, const proto::boe::CancelOrde
   store_.close_order(order);
 }
 
-void Exchange::handle_modify(std::uint32_t session, const proto::boe::ModifyOrder& request) {
+void Exchange::admit(std::uint32_t session, const proto::boe::ModifyOrder& request) {
   using namespace proto::boe;
   const std::uint32_t order = store_.find_open(session, request.client_order_id);
   if (order == SessionStore::kNullSlot) {
@@ -871,7 +838,7 @@ void Exchange::halt_connections() {
   for (auto& conn : connections_) {
     if (conn->dead) continue;
     conn->dead = true;
-    if (conn->in_unbound_list) unlink_unbound(*conn);
+    unlink_unbound(*conn);
     if (conn->endpoint != nullptr) conn->endpoint->close();
   }
 }
@@ -901,19 +868,10 @@ void Exchange::apply_replicated_login(std::uint32_t session_id, std::uint64_t to
 
 void Exchange::apply_replicated_message(std::uint32_t session_id,
                                         const proto::boe::Message& message, std::int64_t at_ps) {
-  using namespace proto::boe;
   const std::uint32_t session = store_.lookup(session_id);
   if (session == SessionStore::kNullSlot) return;  // login record lost upstream
   replicated_now_ps_ = at_ps;
-  if (std::get_if<Logout>(&message) != nullptr) {
-    store_.set_logged_in(session, false);
-  } else if (const auto* order = std::get_if<NewOrder>(&message)) {
-    handle_new_order(session, *order);
-  } else if (const auto* cancel = std::get_if<CancelOrder>(&message)) {
-    handle_cancel(session, *cancel);
-  } else if (const auto* modify = std::get_if<ModifyOrder>(&message)) {
-    handle_modify(session, *modify);
-  }
+  apply_admitted(session, message);
   replicated_now_ps_ = -1;
 }
 
@@ -926,37 +884,23 @@ void Exchange::apply_replicated_session_dead(std::uint32_t session_id, std::int6
 }
 
 std::uint64_t Exchange::state_digest() const {
-  constexpr std::uint64_t kPrime = 0x100000001b3ULL;
-  std::uint64_t h = store_.state_digest();
-  auto fold = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xff;
-      h *= kPrime;
-    }
-  };
-  fold(next_order_id_);
+  sim::Digest d{store_.state_digest()};
+  d.mix(next_order_id_);
   // Listing order is config_.symbols order: identical on both halves of a
   // pair built from the same config.
   for (const Listing& listing : listings_) {
     listing.book->for_each_order([&](const book::Order& order) {
-      fold(order.id);
-      fold(static_cast<std::uint64_t>(order.side));
-      fold(static_cast<std::uint64_t>(order.price));
-      fold(order.quantity);
+      d.mix(order.id);
+      d.mix(static_cast<std::uint64_t>(order.side));
+      d.mix(static_cast<std::uint64_t>(order.price));
+      d.mix(order.quantity);
     });
   }
-  return h;
+  return d.hash;
 }
 
 std::uint64_t Exchange::econ_digest() const {
-  constexpr std::uint64_t kPrime = 0x100000001b3ULL;
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto fold = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xff;
-      h *= kPrime;
-    }
-  };
+  sim::Digest d;
   std::vector<std::tuple<std::uint8_t, std::int64_t, std::uint64_t>> rows;
   for (const Listing& listing : listings_) {
     rows.clear();
@@ -968,14 +912,14 @@ std::uint64_t Exchange::econ_digest() const {
     // so raw book order differs from a never-failed control — economically
     // equal books must still digest equal.
     std::sort(rows.begin(), rows.end());
-    fold(rows.size());
+    d.mix(rows.size());
     for (const auto& [side, price, qty] : rows) {
-      fold(side);
-      fold(static_cast<std::uint64_t>(price));
-      fold(qty);
+      d.mix(side);
+      d.mix(static_cast<std::uint64_t>(price));
+      d.mix(qty);
     }
   }
-  return h;
+  return d.hash;
 }
 
 }  // namespace tsn::exchange

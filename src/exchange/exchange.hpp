@@ -118,12 +118,12 @@ struct ExchangeConfig {
   // Session-directory shards (rounded up to a power of two). Lookups hash
   // straight to a shard; 1 keeps PR 5's single-directory behavior.
   std::uint32_t session_shards = 1;
-  // When true, each heartbeat tick sweeps only the connected sessions of
-  // shard (tick % session_shards) plus every pre-login connection, so a
-  // tick costs O(population / shards) instead of O(population). A silent
-  // session is then declared dead up to (shards - 1) ticks later than the
-  // legacy full scan — deterministic, just coarser. False preserves PR 5's
-  // exact per-tick semantics.
+  // Every heartbeat tick walks the pre-login connections, then the
+  // connected sessions of a shard range. When true, the range is one shard
+  // per tick (tick % session_shards), so a tick costs O(population /
+  // shards) and a silent session is declared dead up to (shards - 1) ticks
+  // later than with every shard swept each tick — deterministic, just
+  // coarser. False sweeps every shard each tick.
   bool sharded_liveness_sweep = false;
   // Pre-sizing for the pooled session store (sessions / concurrently open
   // orders / journal byte arena). Zero leaves growth on demand.
@@ -280,14 +280,27 @@ class Exchange {
   void notify_fill(const book::Execution& execution);
   void snapshot_tick();
   void heartbeat_tick();
+  // Heartbeats an idle live leg, or kills it past session_timeout. Legs
+  // that cannot carry bytes (dead, or TCP not established) are skipped.
   void check_liveness(Connection& conn, sim::Time now);
   void on_accept_session(net::TcpEndpoint& endpoint);
+  // The one way a connection comes to exist (TCP accept or open_direct):
+  // recorded in connections_ and linked into the unbound list.
+  Connection& open_connection(net::TcpEndpoint* endpoint, DirectClient* direct);
+  // The leg is gone (peer FIN, client drop or timeout): marks it dead and,
+  // if it still holds its session, declares the session dead.
+  void on_leg_closed(Connection& conn);
   void on_session_message(Connection& conn, const proto::boe::Message& message);
   void handle_login(Connection& conn, const proto::boe::LoginRequest& login);
   void handle_replay(Connection& conn, const proto::boe::ReplayRequest& request);
-  void handle_new_order(std::uint32_t session, const proto::boe::NewOrder& request);
-  void handle_cancel(std::uint32_t session, const proto::boe::CancelOrder& request);
-  void handle_modify(std::uint32_t session, const proto::boe::ModifyOrder& request);
+  // The one dispatch for a bound session's state-changing messages, live or
+  // replicated: taps the InputListener (a backup has none), then acts.
+  // Other message types change no state and are ignored.
+  void apply_admitted(std::uint32_t session, const proto::boe::Message& message);
+  void admit(std::uint32_t session, const proto::boe::Logout& logout);
+  void admit(std::uint32_t session, const proto::boe::NewOrder& request);
+  void admit(std::uint32_t session, const proto::boe::CancelOrder& request);
+  void admit(std::uint32_t session, const proto::boe::ModifyOrder& request);
   // Declares the session dead: unbinds its connection and, when
   // cancel_on_disconnect is set, pulls its resting orders (feed deletes +
   // journaled OrderCancelled responses).
@@ -342,8 +355,8 @@ class Exchange {
   // post-mortem records) so in-flight matcher events can never dangle.
   std::vector<std::unique_ptr<Connection>> connections_;
   // Intrusive list of live connections not yet bound to a session: the
-  // sharded liveness sweep walks these every tick (bound sessions are
-  // swept via the store's per-shard connected lists).
+  // liveness sweep walks these every tick (bound sessions are swept via
+  // the store's per-shard connected lists).
   std::uint32_t unbound_head_ = SessionStore::kNullSlot;
   std::uint32_t unbound_tail_ = SessionStore::kNullSlot;
 

@@ -3,23 +3,13 @@
 #include <algorithm>
 
 #include "core/check.hpp"
+#include "sim/digest.hpp"
 
 namespace tsn::exchange {
 
 namespace {
 
 using proto::boe::Message;
-
-// Splittable per-field digest: FNV-1a over 8-byte words.
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-void fnv_mix(std::uint64_t& h, std::uint64_t v) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xffu;
-    h *= kFnvPrime;
-  }
-}
 
 }  // namespace
 
@@ -434,28 +424,28 @@ std::int64_t LoadGen::total_position() const noexcept {
 }
 
 std::uint64_t LoadGen::fingerprint() const noexcept {
-  std::uint64_t h = kFnvOffset;
+  sim::Digest d;
   for (const Sess& sess : sessions_) {
-    fnv_mix(h, static_cast<std::uint64_t>(sess.state) << 32 | sess.open_count << 16 |
-                   sess.unacked_count << 8 | sess.cod_count);
-    fnv_mix(h, static_cast<std::uint64_t>(sess.position));
-    fnv_mix(h, static_cast<std::uint64_t>(sess.last_seen_seq) << 32 | sess.next_client_seq);
+    d.mix(static_cast<std::uint64_t>(sess.state) << 32 | sess.open_count << 16 |
+          sess.unacked_count << 8 | sess.cod_count);
+    d.mix(static_cast<std::uint64_t>(sess.position));
+    d.mix(static_cast<std::uint64_t>(sess.last_seen_seq) << 32 | sess.next_client_seq);
     for (std::uint8_t i = 0; i < sess.open_count; ++i) {
-      fnv_mix(h, sess.open[i].client_id);
-      fnv_mix(h, static_cast<std::uint64_t>(sess.open[i].price));
+      d.mix(sess.open[i].client_id);
+      d.mix(static_cast<std::uint64_t>(sess.open[i].price));
     }
   }
-  fnv_mix(h, stats_.orders_sent);
-  fnv_mix(h, stats_.orders_acked);
-  fnv_mix(h, stats_.cancels_acked);
-  fnv_mix(h, stats_.cod_cancels_seen);
-  fnv_mix(h, stats_.fills);
-  fnv_mix(h, stats_.quantity_filled);
-  fnv_mix(h, stats_.replays_requested);
-  fnv_mix(h, stats_.duplicate_rejects);
-  fnv_mix(h, stats_.messages_received);
-  fnv_mix(h, stats_.bytes_received);
-  return h;
+  d.mix(stats_.orders_sent);
+  d.mix(stats_.orders_acked);
+  d.mix(stats_.cancels_acked);
+  d.mix(stats_.cod_cancels_seen);
+  d.mix(stats_.fills);
+  d.mix(stats_.quantity_filled);
+  d.mix(stats_.replays_requested);
+  d.mix(stats_.duplicate_rejects);
+  d.mix(stats_.messages_received);
+  d.mix(stats_.bytes_received);
+  return d.hash;
 }
 
 void LoadGen::register_metrics(telemetry::Registry& registry,

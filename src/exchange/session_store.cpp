@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/check.hpp"
+#include "sim/digest.hpp"
 
 namespace tsn::exchange {
 
@@ -344,26 +345,18 @@ void SessionStore::collect_open_client_ids(std::uint32_t slot,
 }
 
 std::uint64_t SessionStore::state_digest() const noexcept {
-  constexpr std::uint64_t kOffset = 0xcbf29ce484222325ULL;
-  constexpr std::uint64_t kPrime = 0x100000001b3ULL;
-  std::uint64_t h = kOffset;
-  auto fold = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xff;
-      h *= kPrime;
-    }
-  };
-  fold(sessions_.size());
+  sim::Digest d;
+  d.mix(sessions_.size());
   for (const SessionRow& row : sessions_) {
-    fold(row.external);
-    fold(row.token);
-    fold(0);  // once a slot-reuse counter, always 0: keeps pinned digests unchanged
-    fold(row.tx_seq);
-    fold((row.flags & kFlagLoggedIn) != 0 ? 1 : 0);
-    fold(row.order_count);
-    fold(row.jr_count);
+    d.mix(row.external);
+    d.mix(row.token);
+    d.mix(0);  // once a slot-reuse counter, always 0: keeps pinned digests unchanged
+    d.mix(row.tx_seq);
+    d.mix((row.flags & kFlagLoggedIn) != 0 ? 1 : 0);
+    d.mix(row.order_count);
+    d.mix(row.jr_count);
   }
-  return h;
+  return d.hash;
 }
 
 }  // namespace tsn::exchange

@@ -197,8 +197,11 @@ void MarketMaker::on_update(const proto::norm::Update& update, sim::Time /*nic_a
   if (quote.bid_id != 0) send_cancel(quote.bid_id);
   if (quote.ask_id != 0) send_cancel(quote.ask_id);
   quote.anchor = update.price;
-  quote.bid_id = send_order(proto::Side::kBuy, update.symbol, update.price - half_spread_, clip_);
-  quote.ask_id = send_order(proto::Side::kSell, update.symbol, update.price + half_spread_, clip_);
+  proto::Price bid = update.price - half_spread_;
+  proto::Price ask = update.price + half_spread_;
+  adjust_quote(update.symbol, bid, ask);
+  quote.bid_id = send_order(proto::Side::kBuy, update.symbol, bid, clip_);
+  quote.ask_id = send_order(proto::Side::kSell, update.symbol, ask, clip_);
 }
 
 void MarketMaker::on_fill(const proto::boe::Fill& fill) {
@@ -214,30 +217,23 @@ void MarketMaker::on_fill(const proto::boe::Fill& fill) {
 CompliantMarketMaker::CompliantMarketMaker(sim::Scheduler& engine, StrategyConfig config,
                                            proto::Price half_spread, proto::Quantity clip,
                                            proto::Price tick)
-    : Strategy(engine, std::move(config)),
-      half_spread_(half_spread),
-      clip_(clip),
-      tick_(tick) {}
+    : MarketMaker(engine, std::move(config), half_spread, clip), tick_(tick) {}
 
-void CompliantMarketMaker::on_update(const proto::norm::Update& update,
-                                     sim::Time /*nic_arrival*/) {
+void CompliantMarketMaker::on_update(const proto::norm::Update& update, sim::Time nic_arrival) {
   monitor_.on_update(update);
-  if (update.price <= 0) return;
-  Quote& quote = quotes_[update.symbol];
-  if (quote.anchor != 0 && std::abs(update.price - quote.anchor) < half_spread_ / 2) return;
-  if (quote.bid_id != 0) send_cancel(quote.bid_id);
-  if (quote.ask_id != 0) send_cancel(quote.ask_id);
-  quote.anchor = update.price;
-  proto::Price bid = update.price - half_spread_;
-  proto::Price ask = update.price + half_spread_;
+  MarketMaker::on_update(update, nic_arrival);
+}
+
+void CompliantMarketMaker::adjust_quote(const proto::Symbol& symbol, proto::Price& bid,
+                                        proto::Price& ask) {
   // SEC gate: never post a quote that locks or crosses an away market.
   const proto::Price compliant_bid =
-      monitor_.clamp_to_compliant(update.symbol, proto::Side::kBuy, bid, tick_);
+      monitor_.clamp_to_compliant(symbol, proto::Side::kBuy, bid, tick_);
   const proto::Price compliant_ask =
-      monitor_.clamp_to_compliant(update.symbol, proto::Side::kSell, ask, tick_);
+      monitor_.clamp_to_compliant(symbol, proto::Side::kSell, ask, tick_);
   if (compliant_bid != bid || compliant_ask != ask) ++quotes_clamped_;
-  quote.bid_id = send_order(proto::Side::kBuy, update.symbol, compliant_bid, clip_);
-  quote.ask_id = send_order(proto::Side::kSell, update.symbol, compliant_ask, clip_);
+  bid = compliant_bid;
+  ask = compliant_ask;
 }
 
 // --- CrossVenueArb -----------------------------------------------------------

@@ -150,8 +150,9 @@ class MomentumTaker final : public Strategy {
 };
 
 // Simple market maker: keeps a two-sided quote around the last observed
-// price for each watched symbol, repricing when the market drifts.
-class MarketMaker final : public Strategy {
+// price for each watched symbol, repricing when the market drifts. A quote
+// that has fully filled is forgotten, so a reprice never cancels it.
+class MarketMaker : public Strategy {
  public:
   MarketMaker(sim::Scheduler& engine, StrategyConfig config, proto::Price half_spread = 300,
               proto::Quantity clip = 200);
@@ -159,6 +160,10 @@ class MarketMaker final : public Strategy {
  protected:
   void on_update(const proto::norm::Update& update, sim::Time nic_arrival) override;
   void on_fill(const proto::boe::Fill& fill) override;
+  // Last word on a fresh quote's prices before they are sent; the plain
+  // maker posts them unchanged.
+  virtual void adjust_quote(const proto::Symbol& /*symbol*/, proto::Price& /*bid*/,
+                            proto::Price& /*ask*/) {}
 
  private:
   struct Quote {
@@ -176,7 +181,9 @@ class MarketMaker final : public Strategy {
 // prices are clamped so they never lock or cross another venue's displayed
 // market. This is the firm-wide-state consumer the paper says makes cloud
 // designs hard: the monitor needs every venue's top of book, everywhere.
-class CompliantMarketMaker final : public Strategy {
+// Quoting, repricing and fill handling are MarketMaker's; the clamp is the
+// only difference.
+class CompliantMarketMaker final : public MarketMaker {
  public:
   CompliantMarketMaker(sim::Scheduler& engine, StrategyConfig config,
                        proto::Price half_spread = 300, proto::Quantity clip = 200,
@@ -187,17 +194,10 @@ class CompliantMarketMaker final : public Strategy {
 
  protected:
   void on_update(const proto::norm::Update& update, sim::Time nic_arrival) override;
+  void adjust_quote(const proto::Symbol& symbol, proto::Price& bid, proto::Price& ask) override;
 
  private:
-  struct Quote {
-    proto::Price anchor = 0;
-    proto::OrderId bid_id = 0;
-    proto::OrderId ask_id = 0;
-  };
-  std::unordered_map<proto::Symbol, Quote> quotes_;
   MarketStateMonitor monitor_;
-  proto::Price half_spread_;
-  proto::Quantity clip_;
   proto::Price tick_;
   std::uint64_t quotes_clamped_ = 0;
 };

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "exchange/activity.hpp"
 #include "net/fabric.hpp"
 #include "net/stack.hpp"
@@ -178,13 +180,58 @@ TEST(ExchangeSession, LoginAcceptedThenOrderAck) {
   EXPECT_GE(rig.total_messages(), 2u);
 }
 
+// Records every admitted input the exchange taps for replication.
+struct TapRecorder final : InputListener {
+  std::size_t logins = 0;
+  std::size_t messages = 0;
+  std::size_t deaths = 0;
+  void on_admitted_login(std::uint32_t, std::uint64_t) override { ++logins; }
+  void on_admitted_message(std::uint32_t, const proto::boe::Message&) override { ++messages; }
+  void on_admitted_session_dead(std::uint32_t) override { ++deaths; }
+};
+
 TEST(ExchangeSession, OrderBeforeLoginRejected) {
-  SessionRig rig;
-  rig.send(proto::boe::NewOrder{10, proto::Side::kBuy, 100, proto::Symbol{"AAA"},
-                                proto::price_from_dollars(99), proto::boe::TimeInForce::kDay});
-  const auto* reject = rig.last_response_of<proto::boe::OrderRejected>();
-  ASSERT_NE(reject, nullptr);
-  EXPECT_EQ(reject->reason, proto::boe::RejectReason::kNotLoggedIn);
+  // Order entry on a connection that never logged in: each type gets its
+  // reply (Logout none), and none of them is admitted, so the replication
+  // tap sees nothing.
+  using namespace proto::boe;
+  struct Case {
+    const char* name;
+    Message message;
+    std::optional<Message> reply;
+    std::uint64_t orders_rejected;
+    std::uint64_t cancel_rejects;
+  };
+  const Case cases[] = {
+      {"NewOrder",
+       NewOrder{10, proto::Side::kBuy, 100, proto::Symbol{"AAA"}, proto::price_from_dollars(99),
+                TimeInForce::kDay},
+       OrderRejected{10, RejectReason::kNotLoggedIn}, 1, 0},
+      {"CancelOrder", CancelOrder{11}, CancelRejected{11, RejectReason::kTooLateToCancel}, 0, 1},
+      {"ModifyOrder", ModifyOrder{12, 50, proto::price_from_dollars(98)},
+       CancelRejected{12, RejectReason::kUnknownOrder}, 0, 0},
+      {"Logout", Logout{}, std::nullopt, 0, 0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    SessionRig rig;
+    TapRecorder tap;
+    rig.exchange.set_input_listener(&tap);
+    rig.send(c.message);
+    if (c.reply) {
+      ASSERT_EQ(rig.responses.size(), 1u);
+      EXPECT_EQ(encode(rig.responses.front(), 0), encode(*c.reply, 0));
+    } else {
+      EXPECT_TRUE(rig.responses.empty());
+    }
+    const ExchangeStats& stats = rig.exchange.stats();
+    EXPECT_EQ(stats.orders_rejected, c.orders_rejected);
+    EXPECT_EQ(stats.orders_received, c.orders_rejected);
+    EXPECT_EQ(stats.cancel_rejects, c.cancel_rejects);
+    EXPECT_EQ(stats.cancels_received, c.cancel_rejects);
+    EXPECT_EQ(stats.orders_accepted, 0u);
+    EXPECT_EQ(tap.logins + tap.messages + tap.deaths, 0u);
+  }
 }
 
 TEST(ExchangeSession, ValidationRejects) {

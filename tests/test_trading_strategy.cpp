@@ -216,6 +216,32 @@ TEST(Strategy, CompliantMarketMakerNeverLocksAwayMarkets) {
   EXPECT_FALSE(strategy.monitor().is_crossed(proto::Symbol{"ACME"}));
 }
 
+// Quote at $100, let a seller take the whole bid, then reprice at $101:
+// only the still-resting ask is cancelled. Returns the strategy's stats.
+template <typename Maker>
+StrategyStats reprice_after_full_bid_fill() {
+  StrategyRig rig;
+  Maker strategy{rig.engine, StrategyRig::strategy_config(), proto::price_from_dollars(0.05)};
+  rig.wire(strategy);
+  rig.inject(rig.trade_print(100.00));  // bid 99.95 x 200, ask 100.05 x 200
+  rig.exch.book(proto::Symbol{"ACME"})
+      .submit({rig.exch.next_order_id(), proto::Side::kSell, proto::price_from_dollars(99.95),
+               200});
+  rig.engine.run();
+  EXPECT_EQ(strategy.stats().fills, 1u);
+  rig.inject(rig.trade_print(101.00));
+  return strategy.stats();
+}
+
+TEST(Strategy, RepriceNeverCancelsAFilledQuote) {
+  for (const StrategyStats& stats : {reprice_after_full_bid_fill<MarketMaker>(),
+                                     reprice_after_full_bid_fill<CompliantMarketMaker>()}) {
+    EXPECT_EQ(stats.orders_sent, 4u);
+    EXPECT_EQ(stats.cancels_sent, 1u);
+    EXPECT_EQ(stats.cancel_rejects, 0u);
+  }
+}
+
 TEST(Strategy, GatewayRiskGateRejectsOversizedOrders) {
   // Gateway with a per-order cap below the taker's 100-share clip: every
   // order dies at the gateway with a risk reject; nothing reaches the
